@@ -5,6 +5,12 @@
 //! steady state the delta path only rescans structural matches using
 //! the new pair, so it must beat the full re-query by a wide margin —
 //! the ≥ 10x floor is asserted, not just measured.
+//!
+//! A third case subscribes `M(4,4)A` with a wide δ (one add per time
+//! unit, so the anchor window `[t − δ, t + δ]` holds about δ
+//! interactions) on a sparse stream. Pair-anchored P1 costs only the new
+//! pair's neighbourhood there; a P1 sweep over the whole anchor window
+//! would cost what the window holds and shows up in `bench_gate`.
 
 use flowmotif_bench::{micro, BenchGroup};
 use flowmotif_core::catalog;
@@ -16,30 +22,52 @@ use std::hint::black_box;
 /// retention horizon).
 const WINDOW: usize = 100_000;
 
+/// δ of the wide-window case, in adds.
+const WIDE_DELTA: i64 = 2_000;
+
 /// Deterministic open-ended interaction stream, ~6% out of order. The
 /// node universe is sized so the pair set saturates during warm-up —
 /// the steady state appends onto *existing* series, which is what a
 /// long-running stream looks like (and what the delta path's per-append
 /// asymptotics are about; a brand-new pair costs a CSR extension on
-/// either path).
+/// either path). A stream over a fixed pair set saturates the same way
+/// while keeping the graph sparse.
 struct Stream {
     rng: StdRng,
     nodes: u32,
+    /// When non-empty, every interaction lands on one of these pairs.
+    pairs: Vec<(u32, u32)>,
     t: i64,
 }
 
 impl Stream {
     fn new(seed: u64, nodes: u32) -> Self {
-        Self { rng: StdRng::seed_from_u64(seed), nodes, t: 0 }
+        Self { rng: StdRng::seed_from_u64(seed), nodes, pairs: Vec::new(), t: 0 }
     }
 
-    fn next(&mut self) -> (u32, u32, i64, f64) {
-        self.t += 1;
+    /// A stream over `num_pairs` random pairs fixed up front.
+    fn over_pairs(seed: u64, nodes: u32, num_pairs: usize) -> Self {
+        let mut s = Self::new(seed, nodes);
+        s.pairs = (0..num_pairs).map(|_| s.random_pair()).collect();
+        s
+    }
+
+    fn random_pair(&mut self) -> (u32, u32) {
         let u = self.rng.random_range(0..self.nodes);
         let mut v = self.rng.random_range(0..self.nodes);
         while v == u {
             v = self.rng.random_range(0..self.nodes);
         }
+        (u, v)
+    }
+
+    fn next(&mut self) -> (u32, u32, i64, f64) {
+        self.t += 1;
+        let (u, v) = if self.pairs.is_empty() {
+            self.random_pair()
+        } else {
+            self.pairs[self.rng.random_range(0..self.pairs.len())]
+        };
         let t = if self.rng.random_range(0u32..16) == 0 {
             self.t - self.rng.random_range(1i64..50)
         } else {
@@ -92,6 +120,27 @@ fn main() {
         black_box(fresh.get(id).unwrap().num_instances())
     });
 
+    // Wide δ on a sparse graph (out-degree 3 over a fixed pair set):
+    // the anchor window holds about δ resident interactions, nearly all
+    // of them far from the new pair.
+    let wide = SnapshotEngine::with_engine(
+        QueryEngine::new().with_window(SlidingWindow::new(window as i64)),
+    );
+    let wide_nodes = window as u32 / 10;
+    let mut wide_stream = Stream::over_pairs(7, wide_nodes, 3 * wide_nodes as usize);
+    for _ in 0..window {
+        let (u, v, t, f) = wide_stream.next();
+        wide.append(u, v, t, f).unwrap();
+    }
+    let cycle = catalog::by_name("M(4,4)A", WIDE_DELTA, 50.0).unwrap();
+    let mut wide_subs = StandingQueries::new();
+    wide.subscribe_standing(&mut wide_subs, cycle, None);
+    group.bench(format!("delta/append M(4,4)A delta {WIDE_DELTA} (window {window})"), || {
+        let (u, v, t, f) = wide_stream.next();
+        wide.append_standing(u, v, t, f, &mut wide_subs, &mut events).unwrap();
+        black_box(events.drain(..).count())
+    });
+
     let median = |needle: &str| {
         group
             .results()
@@ -100,7 +149,7 @@ fn main() {
             .map(|r| r.median.as_nanos())
             .expect("both benches ran")
     };
-    let (delta_ns, requery_ns) = (median("delta/"), median("requery/"));
+    let (delta_ns, requery_ns) = (median("delta/append (window"), median("requery/"));
     println!(
         "delta_subscribe: delta {delta_ns} ns/append vs re-query {requery_ns} ns/append \
          ({:.1}x)",

@@ -12,18 +12,27 @@
 //! change (and that cannot host an instance using the new event) keeps
 //! its instance set verbatim. Hence the affected matches after appending
 //! to pair `(u, v)` are exactly the `W`-active structural matches that
-//! *use* `(u, v)` — found by anchoring phase P1 at the new pair
-//! ([`crate::matcher::P1Driver::from_origin`] for matches whose first
-//! motif edge is the new pair) plus a `W`-bounded sweep (a bounded
-//! [`crate::matcher::P1Driver`] run) filtered to matches containing the
-//! pair at a later position. Appends
-//! can also *retire* instances (a grown edge-set subsumes a previously
-//! maximal one), but only inside affected matches, for the same reason.
+//! *use* `(u, v)`. They are found by one pair-anchored P1 run,
+//! [`crate::matcher::P1Driver::through_pair`] bounded by `W`: for every
+//! motif edge the pair can fill, the walk is seeded at that edge and
+//! bound outward from it (backward over in-lists, forward over
+//! out-lists), so the cost scales with the matches around the new pair,
+//! not with the whole `W`-active graph. Appends can also *retire*
+//! instances (a grown edge-set subsumes a previously maximal one), but
+//! only inside affected matches, for the same reason.
+//!
+//! The emission order of one append is deterministic: matches stream
+//! grouped by the motif edge the new pair fills (in label order), then
+//! in the anchored DFS order, and within a match instances follow P2's
+//! order.
 //!
 //! Under **eviction** the affected matches are the *stored* ones touching
 //! a drained pair: a post-eviction instance is also a valid pre-eviction
 //! instance, so a match gaining a (newly maximal) instance from eviction
 //! already had a maximal superset instance before — i.e. it is stored.
+//! The drained pairs go into a scratch hash set, so finding those
+//! matches is one pass over the stored keys with O(1) lookups per walk
+//! edge.
 //!
 //! # Identity stability
 //!
@@ -51,7 +60,7 @@ use crate::matcher::P1Driver;
 use crate::motif::Motif;
 use crate::scratch::SearchScratch;
 use flowmotif_graph::{Flow, GraphStore, NodeId, TimeWindow, Timestamp};
-use flowmotif_util::{FxHashMap, FxHasher};
+use flowmotif_util::{FxHashMap, FxHashSet, FxHasher};
 use std::hash::Hasher;
 
 /// The unbounded window (every timestamp admissible).
@@ -201,8 +210,11 @@ pub struct DeltaContext {
     matches: FxHashMap<Vec<NodeId>, Vec<DeltaInstance>>,
     /// Scratch: the walk-node key of the match being refreshed.
     key_buf: Vec<NodeId>,
-    /// Scratch: keys of stored matches needing an eviction rescan.
-    rescan: Vec<Vec<NodeId>>,
+    /// Scratch: keys of stored matches needing an eviction rescan,
+    /// flattened (one walk-length chunk per key).
+    rescan: Vec<NodeId>,
+    /// Scratch: the drained pairs of one eviction, for O(1) lookups.
+    drained_set: FxHashSet<(NodeId, NodeId)>,
     /// Scratch: a structural match rebuilt from a stored key.
     sm_buf: StructuralMatch,
 }
@@ -301,49 +313,24 @@ impl DeltaContext {
                 return ds;
             }
         }
-        let Some(target) = g.pair_id(from, to) else {
-            return ds;
-        };
         let p2_bounds = bounds.unwrap_or(UNBOUNDED);
         let delta = motif.delta();
         let anchor = TimeWindow::new(
             time.saturating_sub(delta).max(p2_bounds.start),
             time.saturating_add(delta).min(p2_bounds.end),
         );
-        let Self { matches, key_buf, sm_buf: _, rescan: _ } = self;
+        let Self { matches, key_buf, .. } = self;
         let SearchScratch { p1, p2, .. } = scratch;
         let walk = motif.path().walk();
-
-        // Fast path: matches whose *first* motif edge is the new pair,
-        // anchored directly at the pair's position in the origin's
-        // out-list — no sweep at all.
-        let pos = (0..g.out_degree(from)).find(|&i| g.out_pair_at(from, i) == target);
-        if let Some(pos) = pos {
-            P1Driver::new(motif.path())
-                .bounds(anchor)
-                .from_origin(from, pos..pos + 1)
-                .use_index(opts.use_active_index)
-                .extension_order(opts.extension_order)
-                .run(g, p1, &mut |sm| {
-                    ds.matches_scanned += 1;
-                    refresh_match(
-                        g, motif, walk, sm, p2_bounds, opts, matches, key_buf, p2, stats, &mut ds,
-                        &mut emit,
-                    );
-                });
-        }
-        // General path: matches using the new pair at a later position.
-        // Every pair of such a match is active inside the anchor window
-        // (the instance using the new event fits in it), so the bounded
-        // indexed sweep visits all of them.
+        // Every pair of an affected match is active inside the anchor
+        // window (the instance using the new event fits in it), so the
+        // bounded pair-anchored run visits exactly the affected matches.
         P1Driver::new(motif.path())
             .bounds(anchor)
+            .through_pair(from, to)
             .use_index(opts.use_active_index)
             .extension_order(opts.extension_order)
             .run(g, p1, &mut |sm| {
-                if sm.pairs[0] == target || !sm.pairs.contains(&target) {
-                    return; // handled by the fast path / unaffected
-                }
                 ds.matches_scanned += 1;
                 refresh_match(
                     g, motif, walk, sm, p2_bounds, opts, matches, key_buf, p2, stats, &mut ds,
@@ -374,18 +361,18 @@ impl DeltaContext {
             return ds;
         }
         let p2_bounds = bounds.unwrap_or(UNBOUNDED);
-        self.rescan.clear();
-        for key in self.matches.keys() {
-            let uses_drained =
-                key.windows(2).any(|w| drained.iter().any(|&(u, v)| u == w[0] && v == w[1]));
-            if uses_drained {
-                self.rescan.push(key.clone());
+        let Self { matches, key_buf, rescan, drained_set, sm_buf } = self;
+        drained_set.clear();
+        drained_set.extend(drained.iter().copied());
+        rescan.clear();
+        for key in matches.keys() {
+            if key.windows(2).any(|w| drained_set.contains(&(w[0], w[1]))) {
+                rescan.extend_from_slice(key);
             }
         }
-        let Self { matches, key_buf, rescan, sm_buf } = self;
         let SearchScratch { p2, .. } = scratch;
         let walk = motif.path().walk();
-        'keys: for key in rescan.drain(..) {
+        'keys: for key in rescan.chunks_exact(walk.len()) {
             ds.matches_scanned += 1;
             // Rebuild the structural match from the stable walk; a pair
             // compacted away means the match is structurally gone.
@@ -399,7 +386,7 @@ impl DeltaContext {
                 match g.pair_id(w[0], w[1]) {
                     Some(p) => sm_buf.pairs.push(p),
                     None => {
-                        if let Some(old) = matches.remove(key.as_slice()) {
+                        if let Some(old) = matches.remove(key) {
                             ds.matches_changed += 1;
                             ds.instances_retired += old.len() as u64;
                         }

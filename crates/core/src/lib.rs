@@ -72,11 +72,6 @@ pub use instance::{EdgeSet, InstanceView, MotifInstance, StructuralMatch};
 pub use matcher::{
     count_structural_matches, find_structural_matches, ExtensionOrder, MatchScratch, P1Driver,
 };
-#[allow(deprecated)] // re-exported for downstream users still on the shims
-pub use matcher::{
-    for_each_structural_match, for_each_structural_match_bounded,
-    for_each_structural_match_bounded_with,
-};
 pub use motif::{Motif, MotifNode, SpanningPath};
 pub use scratch::SearchScratch;
 pub use shared::{count_instances_shared, enumerate_shared_with_sink};

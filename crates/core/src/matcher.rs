@@ -10,10 +10,22 @@
 //! # The match driver
 //!
 //! [`P1Driver`] is the single entry point: a builder selecting the origin
-//! set (all origins, a node range, or one origin's first-pair positions),
-//! the window bound, the activity-index toggle, an optional trace sink
-//! and the [`ExtensionOrder`]. The six `for_each_structural_match*`
-//! free functions that predate it remain as thin deprecated shims.
+//! set (all origins, a node range, one origin's first-pair positions, or
+//! every match through one graph pair), the window bound, the
+//! activity-index toggle, an optional trace sink and the
+//! [`ExtensionOrder`].
+//!
+//! # Binding plans
+//!
+//! The DFS binds motif edges in the order of a *plan*. A whole-graph run
+//! seeds `walk[0]` and walks the edges forward, `0, 1, …, m − 1`, each
+//! step extending from its bound source along out-lists. A pair-anchored
+//! run ([`P1Driver::through_pair`]) seeds both endpoints of anchor edge
+//! `j` at once and binds outward from it: edges `j − 1, …, 0` backward
+//! (the fresh source is drawn from the bound target's in-list), then
+//! edges `j + 1, …, m − 1` forward. Every non-anchor edge appears in the
+//! plan exactly once, either binding a fresh vertex or, when both
+//! endpoints are already bound, checking that the pair exists.
 //!
 //! # Worst-case-optimal extension
 //!
@@ -40,9 +52,11 @@
 //!
 //! Candidates survive exactly when every incident edge exists, which is
 //! what the fixed walk would eventually have checked — both orders emit
-//! the *same matches in the same lexicographic order*; only the work to
-//! find them changes. Intersections touch the stores' id-only SoA
-//! columns (`out_target_at`/`in_source_at`), never the event payloads.
+//! the *same matches in the same order*; only the work to find them
+//! changes. Intersections touch the stores' id-only SoA columns
+//! (`out_target_at`/`in_source_at`), never the event payloads. The same
+//! table drives backward plan steps, whose primary list is the bound
+//! target's in-sources.
 
 use crate::gallop::gallop_seek_by;
 use crate::instance::StructuralMatch;
@@ -105,23 +119,45 @@ struct Constraint {
     forward: bool,
 }
 
+/// One DFS step of a binding plan: motif edge `edge`, walked `forward`
+/// from its bound source (`other` is its target) or backward from its
+/// bound target (`other` is its source). `other` is either fresh, and
+/// bound by this step, or already bound, and the step checks the pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    edge: u8,
+    bound: u8,
+    other: u8,
+    forward: bool,
+}
+
+impl Step {
+    fn new(walk: &[u8], edge: usize, forward: bool) -> Self {
+        let (a, b) = (walk[edge], walk[edge + 1]);
+        let (bound, other) = if forward { (a, b) } else { (b, a) };
+        Self { edge: edge as u8, bound, other, forward }
+    }
+}
+
 /// Reusable phase-P1 buffers: the match under construction (whose fields
 /// are mutated in place; the visitor gets a shared reference at each
 /// leaf), the injectivity bitmap, the candidate-origin pull buffer of
-/// the indexed path, and the per-step constraint table + gallop cursors
-/// of the worst-case-optimal extension. One `MatchScratch` threaded
-/// through many enumerations (see [`crate::SearchScratch`]) makes the
-/// steady-state P1 loop allocation-free; the buffers re-size themselves
-/// to each motif.
+/// the indexed path, and the binding plan with its per-step constraint
+/// table + gallop cursors of the worst-case-optimal extension. One
+/// `MatchScratch` threaded through many enumerations (see
+/// [`crate::SearchScratch`]) makes the steady-state P1 loop
+/// allocation-free; the buffers re-size themselves to each motif.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     sm: StructuralMatch,
     assigned: Vec<bool>,
     origins: Vec<NodeId>,
-    /// Flattened constraint table: step `s` owns
-    /// `cons[cons_start[s]..cons_start[s + 1]]`, primary walk-edge
-    /// constraint first. Steps that revisit a bound label own an empty
-    /// range. Rebuilt (without allocating, once warm) per enumeration.
+    /// The binding plan (see the module docs).
+    plan: Vec<Step>,
+    /// Flattened constraint table: plan step `s` owns
+    /// `cons[cons_start[s]..cons_start[s + 1]]`, primary plan-edge
+    /// constraint first. Steps whose other label is already bound own
+    /// an empty range. Rebuilt (without allocating, once warm) per plan.
     cons: Vec<Constraint>,
     cons_start: Vec<u32>,
     /// Per-constraint gallop cursors, index-aligned with `cons`; each
@@ -130,36 +166,55 @@ pub struct MatchScratch {
 }
 
 impl MatchScratch {
-    /// Sizes the match/assignment buffers for `path` (contents reset)
-    /// and derives the constraint table from the walk: for the step
-    /// binding fresh label `f = walk[s + 1]`, every walk edge with one
-    /// endpoint `f` and the other already bound by step `s` contributes
-    /// one (deduplicated) [`Constraint`]. O(walk²), walks are tiny.
-    fn prepare(&mut self, path: &SpanningPath) {
+    /// Sizes the match/assignment buffers for `path` (contents reset),
+    /// lays out the binding plan — forward from `walk[0]`, or outward
+    /// from edge `anchor` when set — and derives its constraint table:
+    /// for the step binding fresh label `f`, every other motif edge with
+    /// one endpoint `f` and the other already bound contributes one
+    /// (deduplicated) [`Constraint`], in edge-label order. O(walk²),
+    /// walks are tiny.
+    fn prepare(&mut self, path: &SpanningPath, anchor: Option<usize>) {
         let n = path.num_nodes();
+        let m = path.num_edges();
         self.sm.nodes.clear();
         self.sm.nodes.resize(n, 0);
         self.sm.pairs.clear();
-        self.sm.pairs.reserve(path.num_edges());
+        self.sm.pairs.resize(m, 0);
+        self.plan.clear();
+        let walk = path.walk();
+        // `assigned` doubles as the bound-label set while planning.
         self.assigned.clear();
         self.assigned.resize(n, false);
+        match anchor {
+            None => {
+                self.assigned[walk[0] as usize] = true;
+                self.plan.extend((0..m).map(|e| Step::new(walk, e, true)));
+            }
+            Some(j) => {
+                self.assigned[walk[j] as usize] = true;
+                self.assigned[walk[j + 1] as usize] = true;
+                self.plan.extend((0..j).rev().map(|e| Step::new(walk, e, false)));
+                self.plan.extend((j + 1..m).map(|e| Step::new(walk, e, true)));
+            }
+        }
 
-        let walk = path.walk();
         self.cons.clear();
         self.cons_start.clear();
-        for s in 0..walk.len() - 1 {
+        for &step in &self.plan {
             let start = self.cons.len();
             self.cons_start.push(start as u32);
-            let fresh = walk[s + 1];
-            if walk[..=s].contains(&fresh) {
+            let (bound, fresh) = (step.bound, step.other);
+            if self.assigned[fresh as usize] {
                 continue; // revisit step: no fresh vertex to constrain
             }
-            self.cons.push(Constraint { anchor: walk[s], forward: true });
-            for j in s + 1..walk.len() - 1 {
-                let (a, b) = (walk[j], walk[j + 1]);
-                let c = if b == fresh && walk[..=s].contains(&a) {
+            self.cons.push(Constraint { anchor: bound, forward: step.forward });
+            for (e, w) in walk.windows(2).enumerate() {
+                let (a, b) = (w[0], w[1]);
+                let c = if e == step.edge as usize {
+                    continue;
+                } else if b == fresh && self.assigned[a as usize] {
                     Constraint { anchor: a, forward: true }
-                } else if a == fresh && walk[..=s].contains(&b) {
+                } else if a == fresh && self.assigned[b as usize] {
                     Constraint { anchor: b, forward: false }
                 } else {
                     continue;
@@ -168,10 +223,12 @@ impl MatchScratch {
                     self.cons.push(c);
                 }
             }
+            self.assigned[fresh as usize] = true;
         }
         self.cons_start.push(self.cons.len() as u32);
         self.cursors.clear();
         self.cursors.resize(self.cons.len(), 0);
+        self.assigned.fill(false);
     }
 }
 
@@ -189,6 +246,9 @@ enum OriginSet {
     /// of its sorted out-list; disjoint position ranges partition the
     /// origin's matches (hub splitting).
     FirstPairs(NodeId, std::ops::Range<u32>),
+    /// Every match one of whose motif edges maps to graph pair `(u, v)`,
+    /// seeded at that edge.
+    ThroughPair(NodeId, NodeId),
 }
 
 /// The phase-P1 match driver: one builder for every way the codebase
@@ -196,9 +256,10 @@ enum OriginSet {
 ///
 /// Defaults: all origins, unbounded window, activity index on,
 /// [`ExtensionOrder::Cardinality`], no trace. Matches stream to the
-/// visitor in lexicographic order of their vertex walk — deterministic,
-/// identical across [`GraphStore`] backends holding the same graph, and
-/// identical across extension orders.
+/// visitor in lexicographic order of their vertex walk (pair-anchored
+/// runs: see [`P1Driver::through_pair`]) — deterministic, identical
+/// across [`GraphStore`] backends holding the same graph, and identical
+/// across extension orders.
 ///
 /// ```
 /// use flowmotif_core::{catalog, P1Driver};
@@ -272,6 +333,22 @@ impl<'a> P1Driver<'a> {
     /// contiguous in id space.
     pub fn from_origin(mut self, origin: NodeId, first_pairs: std::ops::Range<u32>) -> Self {
         self.origins = OriginSet::FirstPairs(origin, first_pairs);
+        self
+    }
+
+    /// Seeds only matches that use graph pair `(u, v)`: for every motif
+    /// edge `j`, in label order, the walk is seeded with `walk[j] = u`,
+    /// `walk[j + 1] = v` and bound outward from there (see the module
+    /// docs). The result is exactly the matches of the same driver
+    /// without this option that contain the pair, each emitted once —
+    /// motif edges are distinct directed label pairs and labels map
+    /// injectively, so no match uses the pair at two edges. Within one
+    /// anchor edge, matches stream in DFS order (labels before the edge
+    /// nearest-first, then labels after it, each by ascending node id),
+    /// identical across backends and extension orders. A pair absent
+    /// from the graph, or inactive inside the bounds, yields nothing.
+    pub fn through_pair(mut self, u: NodeId, v: NodeId) -> Self {
+        self.origins = OriginSet::ThroughPair(u, v);
         self
     }
 
@@ -350,13 +427,51 @@ impl<'a> P1Driver<'a> {
         F: FnMut(&StructuralMatch),
     {
         let walk = self.path.walk();
-        scratch.prepare(self.path);
-        let MatchScratch { sm, assigned, origins: cands, cons, cons_start, cursors } = scratch;
         let bounds = self.bounds;
         let bounded = bounds.start > i64::MIN || bounds.end < i64::MAX;
+        if let OriginSet::ThroughPair(u, v) = self.origins {
+            let n = g.num_nodes() as NodeId;
+            if u == v || u >= n || v >= n {
+                return;
+            }
+            let Some(p) = g.pair_id(u, v) else {
+                return;
+            };
+            if !pair_active(g, p, bounded.then_some(bounds)) {
+                return;
+            }
+            for j in 0..self.path.num_edges() {
+                scratch.prepare(self.path, Some(j));
+                let MatchScratch { sm, assigned, plan, cons, cons_start, cursors, .. } =
+                    &mut *scratch;
+                let ctx = DfsCtx {
+                    g,
+                    plan,
+                    bounds: bounded.then_some(bounds),
+                    prune_spans: self.use_index,
+                    first_pairs: None,
+                    order: self.order,
+                    cons,
+                    cons_start,
+                };
+                let (a, b) = (walk[j] as usize, walk[j + 1] as usize);
+                sm.nodes[a] = u;
+                sm.nodes[b] = v;
+                sm.pairs[j] = p;
+                assigned[a] = true;
+                assigned[b] = true;
+                dfs(&ctx, 0, sm, assigned, cursors, visit);
+                assigned[a] = false;
+                assigned[b] = false;
+            }
+            return;
+        }
+        scratch.prepare(self.path, None);
+        let MatchScratch { sm, assigned, origins: cands, plan, cons, cons_start, cursors } =
+            scratch;
         let mut ctx = DfsCtx {
             g,
-            walk,
+            plan,
             bounds: bounded.then_some(bounds),
             prune_spans: self.use_index,
             first_pairs: None,
@@ -416,111 +531,9 @@ impl<'a> P1Driver<'a> {
                     }
                 }
             }
+            OriginSet::ThroughPair(..) => unreachable!("pair-anchored runs return above"),
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Deprecated free-function shims (pre-P1Driver surface)
-// ---------------------------------------------------------------------
-
-/// Streams every structural match of `path` in `g` to `visit`.
-#[deprecated(note = "use `P1Driver::new(path).for_each(g, visit)`")]
-pub fn for_each_structural_match<S, F>(g: &S, path: &SpanningPath, visit: &mut F)
-where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path).for_each(g, visit);
-}
-
-/// Streams the structural matches whose *walk origin* lies in `origins`.
-#[deprecated(note = "use `P1Driver::new(path).origins(origins)`")]
-pub fn for_each_structural_match_in_node_range<S, F>(
-    g: &S,
-    path: &SpanningPath,
-    origins: std::ops::Range<NodeId>,
-    visit: &mut F,
-) where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path).origins(origins).for_each(g, visit);
-}
-
-/// Streams the structural matches that can host an instance inside the
-/// closed time window `bounds`.
-#[deprecated(note = "use `P1Driver::new(path).bounds(bounds).origins(origins)`")]
-pub fn for_each_structural_match_bounded<S, F>(
-    g: &S,
-    path: &SpanningPath,
-    bounds: TimeWindow,
-    origins: std::ops::Range<NodeId>,
-    visit: &mut F,
-) where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path).bounds(bounds).origins(origins).for_each(g, visit);
-}
-
-/// [`for_each_structural_match_bounded`] with an explicit `use_index`
-/// switch.
-#[deprecated(note = "use `P1Driver` with `.use_index(..)`")]
-pub fn for_each_structural_match_bounded_with<S, F>(
-    g: &S,
-    path: &SpanningPath,
-    bounds: TimeWindow,
-    origins: std::ops::Range<NodeId>,
-    use_index: bool,
-    visit: &mut F,
-) where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path).bounds(bounds).origins(origins).use_index(use_index).for_each(g, visit);
-}
-
-/// [`for_each_structural_match_bounded_with`] running out of
-/// caller-provided scratch buffers.
-#[deprecated(note = "use `P1Driver` with `.run(g, scratch, visit)`")]
-pub fn for_each_structural_match_bounded_scratch<S, F>(
-    g: &S,
-    path: &SpanningPath,
-    bounds: TimeWindow,
-    origins: std::ops::Range<NodeId>,
-    use_index: bool,
-    scratch: &mut MatchScratch,
-    visit: &mut F,
-) where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path).bounds(bounds).origins(origins).use_index(use_index).run(g, scratch, visit);
-}
-
-/// Streams the structural matches of one walk origin whose *first-step
-/// pair* sits at a position in `first_pairs`.
-#[deprecated(note = "use `P1Driver` with `.from_origin(origin, first_pairs)`")]
-#[allow(clippy::too_many_arguments)] // mirrors the bounded_scratch surface + the pair range
-pub fn for_each_structural_match_from_origin<S, F>(
-    g: &S,
-    path: &SpanningPath,
-    bounds: TimeWindow,
-    origin: NodeId,
-    first_pairs: std::ops::Range<u32>,
-    use_index: bool,
-    scratch: &mut MatchScratch,
-    visit: &mut F,
-) where
-    S: GraphStore,
-    F: FnMut(&StructuralMatch),
-{
-    P1Driver::new(path)
-        .bounds(bounds)
-        .from_origin(origin, first_pairs)
-        .use_index(use_index)
-        .run(g, scratch, visit);
 }
 
 // ---------------------------------------------------------------------
@@ -541,7 +554,8 @@ fn pair_active<S: GraphStore>(g: &S, p: PairId, bounds: Option<TimeWindow>) -> b
 /// Immutable per-enumeration state shared by every DFS frame.
 struct DfsCtx<'a, S> {
     g: &'a S,
-    walk: &'a [u8],
+    /// The scratch-owned binding plan (see [`MatchScratch`]).
+    plan: &'a [Step],
     bounds: Option<TimeWindow>,
     /// Consult the per-origin active intervals before iterating a node's
     /// out-pairs (on for the indexed path, off for the A/B baseline).
@@ -588,30 +602,34 @@ fn dfs<S, F>(
     S: GraphStore,
     F: FnMut(&StructuralMatch),
 {
-    let (g, walk, bounds) = (ctx.g, ctx.walk, ctx.bounds);
-    if step + 1 == walk.len() {
+    let (g, bounds) = (ctx.g, ctx.bounds);
+    let Some(&st) = ctx.plan.get(step) else {
         visit(sm);
         return;
-    }
-    let src = sm.nodes[walk[step] as usize];
-    let tgt_label = walk[step + 1] as usize;
-    if assigned[tgt_label] {
+    };
+    let bound = sm.nodes[st.bound as usize];
+    if assigned[st.other as usize] {
         // Revisited motif vertex: the graph vertex is fixed; the edge must
         // exist (e.g. the cycle-closing check of M(3,3), paper §4 P1).
-        if let Some(p) = g.pair_id(src, sm.nodes[tgt_label]) {
+        let other = sm.nodes[st.other as usize];
+        let (u, v) = if st.forward { (bound, other) } else { (other, bound) };
+        if let Some(p) = g.pair_id(u, v) {
             if !pair_active(g, p, bounds) {
                 return;
             }
-            sm.pairs.push(p);
+            sm.pairs[st.edge as usize] = p;
             dfs(ctx, step + 1, sm, assigned, cursors, visit);
-            sm.pairs.pop();
         }
-    } else {
-        // Span pre-check: if none of `src`'s out-interactions fall inside
-        // the bounds, no out-pair can be active — skip the whole slice.
+        return;
+    }
+    let cons = ctx.cons_start[step] as usize..ctx.cons_start[step + 1] as usize;
+    if st.forward {
+        // Span pre-check: if none of `bound`'s out-interactions fall
+        // inside the bounds, no out-pair can be active — skip the whole
+        // slice.
         if ctx.prune_spans {
             if let Some(w) = bounds {
-                if !g.origin_active_in(src, w) {
+                if !g.origin_active_in(bound, w) {
                     return;
                 }
             }
@@ -620,36 +638,68 @@ fn dfs<S, F>(
             (0, Some((s, e))) => Some(s..e),
             _ => None,
         };
-        let cons = ctx.cons_start[step] as usize..ctx.cons_start[step + 1] as usize;
         if ctx.order == ExtensionOrder::Cardinality && cons.len() > 1 {
             wco_extend(ctx, step, cons, first_pairs, sm, assigned, cursors, visit);
             return;
         }
-        for i in first_pairs.unwrap_or(0..g.out_degree(src)) {
-            let p = g.out_pair_at(src, i);
-            if !pair_active(g, p, bounds) {
-                continue;
+        for i in first_pairs.unwrap_or(0..g.out_degree(bound)) {
+            let p = g.out_pair_at(bound, i);
+            if pair_active(g, p, bounds) {
+                let v = g.out_target_at(bound, i);
+                bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
             }
-            let v = g.out_target_at(src, i);
-            // Injectivity: distinct motif vertices need distinct graph
-            // vertices.
-            if sm.nodes.iter().zip(assigned.iter()).any(|(&a, &set)| set && a == v) {
-                continue;
+        }
+    } else {
+        // Backward step: candidates are the bound target's in-sources
+        // (in-lists carry no activity index to pre-check).
+        if ctx.order == ExtensionOrder::Cardinality && cons.len() > 1 {
+            wco_extend(ctx, step, cons, None, sm, assigned, cursors, visit);
+            return;
+        }
+        for i in 0..g.in_degree(bound) {
+            let p = g.in_pair_at(bound, i);
+            if pair_active(g, p, bounds) {
+                let v = g.in_source_at(bound, i);
+                bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
             }
-            sm.nodes[tgt_label] = v;
-            assigned[tgt_label] = true;
-            sm.pairs.push(p);
-            dfs(ctx, step + 1, sm, assigned, cursors, visit);
-            sm.pairs.pop();
-            assigned[tgt_label] = false;
         }
     }
 }
 
+/// Binds the fresh label of plan step `st` (at index `step`) to graph
+/// vertex `v` over pair `p` and recurses — unless `v` is already taken
+/// by another label (injectivity: distinct motif vertices need distinct
+/// graph vertices).
+#[inline]
+#[allow(clippy::too_many_arguments)] // one DFS frame's worth of state
+fn bind<S, F>(
+    ctx: &DfsCtx<'_, S>,
+    step: usize,
+    st: Step,
+    p: PairId,
+    v: NodeId,
+    sm: &mut StructuralMatch,
+    assigned: &mut Vec<bool>,
+    cursors: &mut [u32],
+    visit: &mut F,
+) where
+    S: GraphStore,
+    F: FnMut(&StructuralMatch),
+{
+    if sm.nodes.iter().zip(assigned.iter()).any(|(&a, &set)| set && a == v) {
+        return;
+    }
+    sm.nodes[st.other as usize] = v;
+    assigned[st.other as usize] = true;
+    sm.pairs[st.edge as usize] = p;
+    dfs(ctx, step + 1, sm, assigned, cursors, visit);
+    assigned[st.other as usize] = false;
+}
+
 /// The count/propose/intersect bind of one fresh vertex (see the module
 /// docs). `cons` indexes this step's constraint sub-table; constraint 0
-/// is always the primary walk edge, whose matched position also yields
-/// the walk pair id without a `pair_id` lookup.
+/// is always the primary plan edge, whose matched position also yields
+/// the edge's pair id without a `pair_id` lookup.
 #[allow(clippy::too_many_arguments)] // one DFS frame's worth of state
 fn wco_extend<S, F>(
     ctx: &DfsCtx<'_, S>,
@@ -665,13 +715,13 @@ fn wco_extend<S, F>(
     F: FnMut(&StructuralMatch),
 {
     let g = ctx.g;
-    let src = sm.nodes[ctx.walk[step] as usize];
-    let tgt_label = ctx.walk[step + 1] as usize;
+    let st = ctx.plan[step];
+    let bound = sm.nodes[st.bound as usize];
     let cset = &ctx.cons[cons.clone()];
 
     // Count + propose: the smallest candidate list streams (ties keep
     // the lowest constraint index — deterministic). A pinned first-pair
-    // range forces the primary walk edge to propose: position ranges
+    // range forces the primary plan edge to propose: position ranges
     // partition *its* list, so re-proposing would break hub splitting.
     let prop = match first_pairs {
         Some(_) => 0,
@@ -708,19 +758,11 @@ fn wco_extend<S, F>(
                 prim_idx = pos;
             }
         }
-        let p = g.out_pair_at(src, prim_idx);
-        if !pair_active(g, p, ctx.bounds) {
-            continue;
+        let p =
+            if st.forward { g.out_pair_at(bound, prim_idx) } else { g.in_pair_at(bound, prim_idx) };
+        if pair_active(g, p, ctx.bounds) {
+            bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
         }
-        if sm.nodes.iter().zip(assigned.iter()).any(|(&a, &set)| set && a == v) {
-            continue;
-        }
-        sm.nodes[tgt_label] = v;
-        assigned[tgt_label] = true;
-        sm.pairs.push(p);
-        dfs(ctx, step + 1, sm, assigned, cursors, visit);
-        sm.pairs.pop();
-        assigned[tgt_label] = false;
     }
 }
 
@@ -965,64 +1007,43 @@ mod tests {
         assert_eq!(count_structural_matches(&g, m54.path()), 5);
     }
 
-    /// The deprecated pre-`P1Driver` shims must keep compiling (under
-    /// `-D warnings`, via this allow) and keep emitting exactly what the
-    /// driver emits, until they are removed.
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn every_shim_matches_its_driver_equivalent() {
-            let g = fig5();
-            let m33 = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
-            let path = m33.path();
-            let n = g.num_nodes() as NodeId;
-            let w = TimeWindow::new(10, 23);
-            let want = P1Driver::new(path).collect(&g);
-            let mut got = Vec::new();
-            for_each_structural_match(&g, path, &mut |m| got.push(m.clone()));
-            assert_eq!(got, want);
-            got.clear();
-            for_each_structural_match_in_node_range(&g, path, 0..n, &mut |m| got.push(m.clone()));
-            assert_eq!(got, want);
-
-            let want_w = P1Driver::new(path).bounds(w).collect(&g);
-            got.clear();
-            for_each_structural_match_bounded(&g, path, w, 0..n, &mut |m| got.push(m.clone()));
-            assert_eq!(got, want_w);
-            got.clear();
-            for_each_structural_match_bounded_with(&g, path, w, 0..n, false, &mut |m| {
-                got.push(m.clone());
-            });
-            assert_eq!(got, want_w);
+    #[test]
+    fn origin_set_flavours_agree_with_the_whole_graph_run() {
+        // The entry points the former free functions exposed, now driver
+        // options: an explicit full origin range, the unindexed bounded
+        // path and a whole-origin first-pair range reproduce the default
+        // run (restricted to that origin) exactly.
+        let g = fig5();
+        let m33 = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
+        let path = m33.path();
+        let n = g.num_nodes() as NodeId;
+        for w in [TimeWindow::new(i64::MIN, i64::MAX), TimeWindow::new(10, 23)] {
+            let want = P1Driver::new(path).bounds(w).collect(&g);
+            assert_eq!(P1Driver::new(path).bounds(w).origins(0..n).collect(&g), want);
+            assert_eq!(P1Driver::new(path).bounds(w).use_index(false).collect(&g), want);
             let mut scratch = MatchScratch::default();
-            got.clear();
-            for_each_structural_match_bounded_scratch(
-                &g,
-                path,
-                w,
-                0..n,
-                true,
-                &mut scratch,
-                &mut |m| got.push(m.clone()),
+            let mut got = Vec::new();
+            P1Driver::new(path).bounds(w).run(&g, &mut scratch, &mut |m| got.push(m.clone()));
+            assert_eq!(got, want);
+            let deg = GraphStore::out_degree(&g, 2);
+            assert_eq!(
+                P1Driver::new(path).bounds(w).from_origin(2, 0..deg).collect(&g),
+                P1Driver::new(path).bounds(w).origins(2..3).collect(&g),
             );
-            assert_eq!(got, want_w);
-
-            let deg = g.out_degree(2) as u32;
-            let want_o = P1Driver::new(path).bounds(w).from_origin(2, 0..deg).collect(&g);
-            got.clear();
-            for_each_structural_match_from_origin(
-                &g,
-                path,
-                w,
-                2,
-                0..deg,
-                true,
-                &mut scratch,
-                &mut |m| got.push(m.clone()),
-            );
-            assert_eq!(got, want_o);
         }
+    }
+
+    #[test]
+    fn through_pair_rejects_absent_and_degenerate_pairs() {
+        let g = fig5();
+        let m32 = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
+        let count = |u, v| P1Driver::new(m32.path()).through_pair(u, v).count(&g);
+        assert_eq!(count(1, 0), 0, "no (1, 0) pair");
+        assert_eq!(count(0, 0), 0, "self pair");
+        assert_eq!(count(0, 99), 0, "node out of range");
+        // (3, 2) is only active in [1, 3]: a window missing it is empty.
+        let bounded = P1Driver::new(m32.path()).bounds(TimeWindow::new(10, 23));
+        assert_eq!(bounded.through_pair(3, 2).count(&g), 0);
+        assert!(count(3, 2) > 0);
     }
 }

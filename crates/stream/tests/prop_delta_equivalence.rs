@@ -19,6 +19,9 @@ use flowmotif_util::{RngExt, SeedableRng, StdRng};
 const CASES: u64 = 20;
 const OPS: usize = 60;
 const NODES: u32 = 7;
+/// Longer walks subscribed beside M(3,2)/M(3,3), with δ wide enough that
+/// 4- and 5-node matches form among `NODES` vertices.
+const WIDE: [(&str, Timestamp); 3] = [("M(4,4)A", 40), ("M(4,4)B", 30), ("M(5,5)C", 40)];
 
 /// Canonical, order-independent rendering of a standing result set.
 /// `DeltaInstance` already carries a canonical per-edge breakdown (and
@@ -32,6 +35,7 @@ fn canon(q: &StandingQuery) -> Vec<String> {
 
 #[test]
 fn delta_view_equals_full_requery_on_every_prefix() {
+    let mut wide_events = 0u64;
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xD317A_u64 * 1000 + case);
         // A third of the cases run under a sliding-window policy, so
@@ -50,8 +54,14 @@ fn delta_view_equals_full_requery_on_every_prefix() {
         let a = engine.subscribe_standing(&mut subs, chain.clone(), None);
         let b = engine.subscribe_standing(&mut subs, cycle.clone(), None);
         let c = engine.subscribe_standing(&mut subs, chain.clone(), bounded);
-        let specs =
-            [(a, chain.clone(), None), (b, cycle.clone(), None), (c, chain.clone(), bounded)];
+        let mut specs =
+            vec![(a, chain.clone(), None), (b, cycle.clone(), None), (c, chain.clone(), bounded)];
+        // Walks with revisit and branch-out steps: a pair-anchored run
+        // binds their labels backward as well as forward.
+        for (name, delta) in WIDE {
+            let m = catalog::by_name(name, delta, 0.0).unwrap();
+            specs.push((engine.subscribe_standing(&mut subs, m.clone(), None), m, None));
+        }
 
         let mut events = Vec::new();
         let mut time: Timestamp = 0;
@@ -92,7 +102,10 @@ fn delta_view_equals_full_requery_on_every_prefix() {
 
         // Accounting: every pushed event belongs to a registered
         // subscription, and the emission counters cover them exactly.
-        let ids = [a, b, c];
+        let ids: Vec<u64> = specs.iter().map(|s| s.0).collect();
+        for (id, ..) in &specs[3..] {
+            wide_events += subs.get(*id).unwrap().delta_stats().instances_emitted;
+        }
         assert!(events.iter().all(|e| ids.contains(&e.subscription)));
         let emitted: u64 =
             ids.iter().map(|id| subs.get(*id).unwrap().delta_stats().instances_emitted).sum();
@@ -114,6 +127,7 @@ fn delta_view_equals_full_requery_on_every_prefix() {
             );
         }
     }
+    assert!(wide_events > 0, "the M(4,4)/M(5,5) subscriptions never emitted: vacuous cases");
 }
 
 #[test]
@@ -150,6 +164,11 @@ fn epoch_appends_and_reseals_keep_the_delta_view_exact() {
         let mut subs = StandingQueries::new();
         let id = engine.subscribe_standing(&mut subs, motif.clone(), None);
         assert!(subs.get(id).unwrap().num_instances() > 0 || case > 0, "base seeds the view");
+        let mut specs = vec![(id, motif)];
+        for (name, delta) in WIDE {
+            let m = catalog::by_name(name, delta, 0.0).unwrap();
+            specs.push((engine.subscribe_standing(&mut subs, m.clone(), None), m));
+        }
 
         let mut events = Vec::new();
         let mut time: Timestamp = 12;
@@ -166,13 +185,16 @@ fn epoch_appends_and_reseals_keep_the_delta_view_exact() {
                 let flow = rng.random_range(1..6u32) as Flow;
                 let _ = engine.append_standing(from, to, time, flow, &mut subs, &mut events);
             }
-            let mut fresh = StandingQueries::new();
-            let fid = engine.subscribe_standing(&mut fresh, motif.clone(), None);
-            assert_eq!(
-                canon(subs.get(id).unwrap()),
-                canon(fresh.get(fid).unwrap()),
-                "case {case} op {op}: epoch delta view diverged from re-query"
-            );
+            for (id, motif) in &specs {
+                let mut fresh = StandingQueries::new();
+                let fid = engine.subscribe_standing(&mut fresh, motif.clone(), None);
+                assert_eq!(
+                    canon(subs.get(*id).unwrap()),
+                    canon(fresh.get(fid).unwrap()),
+                    "case {case} op {op} {}: epoch delta view diverged from re-query",
+                    motif.name()
+                );
+            }
         }
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
