@@ -86,8 +86,12 @@ stage_out_of_core() {
   # End-to-end out-of-core path on this machine: generate a synthetic
   # dataset, compile it into a packed segment (forcing a multi-run
   # external sort with a tiny sort buffer), and require the mapped
-  # `--packed` search to produce byte-identical output to the in-memory
-  # backend for both the enumeration and top-k pipelines. The memory
+  # `--packed` search to produce byte-identical output to the search of
+  # the edge list (built into an in-memory segment) for both the
+  # enumeration and top-k pipelines — also at `--threads 2`, where the
+  # `find` sample and the top-k tie order must not depend on the
+  # schedule. The edge-list parser's differential loop then runs with a
+  # larger budget than the test stage gives it. The memory
   # side of the story is enforced by `benches/out_of_core.rs` in the
   # bench-regression stage above: it runs the packed search under an
   # allocator-enforced heap budget 4x smaller than the segment and
@@ -104,6 +108,18 @@ stage_out_of_core() {
   "${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 5 >"${_dir}/topk-mem.txt"
   "${_fm}" topk "${_dir}/seg" --packed --motif "M(3,2)" --delta 3600 --k 5 >"${_dir}/topk-packed.txt"
   cmp "${_dir}/topk-mem.txt" "${_dir}/topk-packed.txt"
+  "${_fm}" find "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --phi 5 --show 5 --threads 2 \
+    >"${_dir}/find2-mem.txt"
+  "${_fm}" find "${_dir}/seg" --packed --motif "M(3,2)" --delta 3600 --phi 5 --show 5 --threads 2 \
+    >"${_dir}/find2-packed.txt"
+  cmp "${_dir}/find2-mem.txt" "${_dir}/find2-packed.txt"
+  "${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 10 --threads 2 \
+    >"${_dir}/topk2-mem.txt"
+  "${_fm}" topk "${_dir}/seg" --packed --motif "M(3,2)" --delta 3600 --k 10 --threads 2 \
+    >"${_dir}/topk2-packed.txt"
+  cmp "${_dir}/topk2-mem.txt" "${_dir}/topk2-packed.txt"
+  FLOWMOTIF_PARSE_FUZZ_ITERS=200000 cargo test -q --release --offline -p flowmotif-graph \
+    byte_parser_agrees_with_the_text_parser
 }
 
 stage_metrics() {

@@ -7,17 +7,19 @@
 //! ([`flowmotif_bench::set_heap_budget`]) around the packed search, and
 //! panics if the search either allocates past the budget (the allocator
 //! fails the allocation outright) or disagrees with the in-memory
-//! count/stats. It also times epoch publishes over the sealed segment:
-//! a publish must touch only the delta (`dirty_pairs` == pairs appended
-//! since the last publish), never the resident pairs of the base — the
-//! two `publish/*` entries feed the regression gate so an accidental
-//! O(pairs) publish shows up as a timing cliff.
+//! count/stats. It times the in-memory build of the same edge list into
+//! a segment (the load step of an edge-list search) and epoch publishes
+//! over the sealed segment: a publish must touch only the delta
+//! (`dirty_pairs` == pairs appended since the last publish), never the
+//! resident pairs of the base — the two `publish/*` entries feed the
+//! regression gate so an accidental O(pairs) publish shows up as a
+//! timing cliff.
 
 use flowmotif_bench::CountingAllocator;
 use flowmotif_bench::{live_bytes, peak_bytes, reset_peak, set_heap_budget, BenchGroup};
 use flowmotif_core::catalog::parse_motif;
 use flowmotif_core::enumerate::count_instances;
-use flowmotif_graph::io::load_time_series_graph;
+use flowmotif_graph::io::{load_segment, load_time_series_graph};
 use flowmotif_graph::segment::{pack_edge_list, segment_path, DEFAULT_RUN_RECORDS};
 use flowmotif_graph::SegmentStore;
 use flowmotif_stream::EpochEngine;
@@ -159,6 +161,12 @@ fn main() {
         let motif = motif.clone();
         group.bench("search/in_memory", move || black_box(count_instances(&mem, &motif).0));
     }
+
+    // Timed: the load step of `find`/`topk`/`top1` on an edge list —
+    // parse, sort and build the segment image in memory.
+    group.bench("load/edge_list_to_segment", move || {
+        black_box(load_segment(&edges).unwrap().image().len())
+    });
 
     // Epoch publish over the sealed segment: cost must track the delta,
     // not the tens of thousands of resident pairs. Each iteration appends a small batch

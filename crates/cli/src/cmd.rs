@@ -5,7 +5,7 @@ use crate::opts::{Cli, Command};
 use flowmotif_core::analytics::per_match_activity;
 use flowmotif_core::census::walk_census;
 use flowmotif_core::dp::dp_top1_with;
-use flowmotif_core::parallel::{par_enumerate_all_with, par_top_k_with, ParOptions};
+use flowmotif_core::parallel::{par_count_and_sample_with, par_top_k_with, ParOptions};
 use flowmotif_core::{catalog, AtomicTrace, Motif, SearchOptions, SearchScratch, TraceStage};
 use flowmotif_datasets::Dataset;
 use flowmotif_graph::{io, GraphStats, GraphStore, SegmentStore, TimeSeriesGraph, TimeWindow};
@@ -41,12 +41,18 @@ fn load(path: &Path) -> Result<TimeSeriesGraph, String> {
     io::load_time_series_graph(path).map_err(|e| format!("loading {}: {e}", path.display()))
 }
 
-/// Opens a packed segment directory (or `graph.seg` file) produced by
-/// `flowmotif pack` for `--packed` searches. Touches every mapped page
-/// once before the search: phase P1 hops the adjacency sections in
-/// graph order, and sequential faulting beats faulting on demand on a
-/// cold map (see the `out_of_core` bench).
-fn open_packed(path: &Path) -> Result<SegmentStore, String> {
+/// The graph find/topk/top1 search: a segment either way. With
+/// `--packed`, `path` is a segment directory (or `graph.seg` file)
+/// produced by `flowmotif pack`, and every mapped page is touched once
+/// before the search (phase P1 hops the adjacency sections in graph
+/// order, and sequential faulting beats faulting on demand on a cold
+/// map; see the `out_of_core` bench). Otherwise the edge list is built
+/// into the same segment image in memory, so `--packed` only skips the
+/// parse and the sort.
+fn search_graph(path: &Path, cli: &Cli) -> Result<SegmentStore, String> {
+    if !cli.packed {
+        return io::load_segment(path).map_err(|e| format!("loading {}: {e}", path.display()));
+    }
     let store = SegmentStore::open(path)
         .map_err(|e| format!("opening packed graph {}: {e}", path.display()))?;
     store.prefetch();
@@ -82,16 +88,22 @@ fn traced_options(cli: &Cli, trace: Option<&'static AtomicTrace>) -> SearchOptio
         .build()
 }
 
-/// Prints the per-stage breakdown collected by a `--profile` run: stage
-/// wall-clock time and work count, then per-worker task/busy figures
-/// when the search ran on more than one worker.
+/// Prints the per-stage breakdown collected by a `--profile` run: the
+/// graph load (parse, sort and segment build, or the open of a packed
+/// segment), the search's wall-clock time, each stage's time and work
+/// count, then per-worker task/busy figures when the search ran on more
+/// than one worker.
 fn write_profile<W: Write>(
     out: &mut W,
     trace: Option<&'static AtomicTrace>,
     started: Option<std::time::Instant>,
+    load: std::time::Duration,
+    interactions: usize,
 ) {
     let (Some(trace), Some(started)) = (trace, started) else { return };
     let total = started.elapsed();
+    writeln!(out, "profile: load {:.3} ms ({interactions} interactions)", load.as_secs_f64() * 1e3)
+        .ok();
     writeln!(out, "profile: total {:.3} ms", total.as_secs_f64() * 1e3).ok();
     writeln!(out, "  {:<5} {:>12} {:>12}", "stage", "time_ms", "count").ok();
     for stage in [TraceStage::P1, TraceStage::P2, TraceStage::Dp] {
@@ -127,26 +139,26 @@ fn stats<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
 }
 
 fn find<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    if cli.packed {
-        find_in(&open_packed(path)?, cli, out)
-    } else {
-        find_in(&load(path)?, cli, out)
-    }
+    let started = std::time::Instant::now();
+    let g = search_graph(path, cli)?;
+    find_in(&g, cli, started.elapsed(), out)
 }
 
-fn find_in<G: GraphStore + Sync, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Result<(), String> {
+fn find_in<G: GraphStore + Sync, W: Write>(
+    g: &G,
+    cli: &Cli,
+    load: std::time::Duration,
+    out: &mut W,
+) -> Result<(), String> {
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| std::time::Instant::now());
-    let (groups, stats) =
-        par_enumerate_all_with(g, &motif, traced_options(cli, trace), par_of(cli));
-    let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
+    // Counted, not collected: only the `--show` sample is kept, and it
+    // is the first instances in scan order at any thread count.
+    let (total, sample, stats) =
+        par_count_and_sample_with(g, &motif, cli.show, traced_options(cli, trace), par_of(cli));
     if cli.json {
-        let shown: Vec<_> = groups
-            .iter()
-            .flat_map(|(sm, v)| v.iter().map(move |i| (sm, i)))
-            .take(cli.show)
-            .collect();
+        let shown: Vec<_> = sample.iter().map(|(sm, i)| (sm, i)).collect();
         writeln!(
             out,
             "{}",
@@ -168,37 +180,33 @@ fn find_in<G: GraphStore + Sync, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Res
         stats.structural_matches, total
     )
     .ok();
-    let mut printed = 0;
-    'outer: for (sm, insts) in &groups {
-        for inst in insts {
-            if printed >= cli.show {
-                break 'outer;
-            }
-            writeln!(
-                out,
-                "  nodes {:?} flow {:.3} span {}: {}",
-                sm.walk_nodes(g),
-                inst.flow,
-                inst.span(),
-                inst.display(g)
-            )
-            .ok();
-            printed += 1;
-        }
+    for (sm, inst) in &sample {
+        writeln!(
+            out,
+            "  nodes {:?} flow {:.3} span {}: {}",
+            sm.walk_nodes(g),
+            inst.flow,
+            inst.span(),
+            inst.display(g)
+        )
+        .ok();
     }
-    write_profile(out, trace, started);
+    write_profile(out, trace, started, load, g.num_interactions());
     Ok(())
 }
 
 fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    if cli.packed {
-        topk_in(&open_packed(path)?, cli, out)
-    } else {
-        topk_in(&load(path)?, cli, out)
-    }
+    let started = std::time::Instant::now();
+    let g = search_graph(path, cli)?;
+    topk_in(&g, cli, started.elapsed(), out)
 }
 
-fn topk_in<G: GraphStore + Sync, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Result<(), String> {
+fn topk_in<G: GraphStore + Sync, W: Write>(
+    g: &G,
+    cli: &Cli,
+    load: std::time::Duration,
+    out: &mut W,
+) -> Result<(), String> {
     // §5: top-k ranks by flow with ϕ = 0 (any --phi is still honoured as
     // a floor if explicitly set).
     let motif = motif_of(cli)?;
@@ -228,19 +236,22 @@ fn topk_in<G: GraphStore + Sync, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Res
     if ranked.is_empty() {
         writeln!(out, "  (no instances)").ok();
     }
-    write_profile(out, trace, started);
+    write_profile(out, trace, started, load, g.num_interactions());
     Ok(())
 }
 
 fn top1<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    if cli.packed {
-        top1_in(&open_packed(path)?, cli, out)
-    } else {
-        top1_in(&load(path)?, cli, out)
-    }
+    let started = std::time::Instant::now();
+    let g = search_graph(path, cli)?;
+    top1_in(&g, cli, started.elapsed(), out)
 }
 
-fn top1_in<G: GraphStore, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Result<(), String> {
+fn top1_in<G: GraphStore, W: Write>(
+    g: &G,
+    cli: &Cli,
+    load: std::time::Duration,
+    out: &mut W,
+) -> Result<(), String> {
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| std::time::Instant::now());
@@ -271,7 +282,7 @@ fn top1_in<G: GraphStore, W: Write>(g: &G, cli: &Cli, out: &mut W) -> Result<(),
             writeln!(out, "no instances").ok();
         }
     }
-    write_profile(out, trace, started);
+    write_profile(out, trace, started, load, g.num_interactions());
     Ok(())
 }
 

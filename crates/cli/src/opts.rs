@@ -14,8 +14,11 @@ USAGE:
 
 COMMANDS:
   stats <file>            dataset statistics of an edge list (from to time flow)
-  find <file>             enumerate maximal motif instances (alias: search)
-  topk <file>             k highest-flow instances (ϕ is ignored, per §5)
+  find <file>             count maximal motif instances and print the first
+                          --show of them in scan order (alias: search)
+  topk <file>             k highest-flow instances (ϕ is ignored, per §5);
+                          equal flows are ranked by the instances' edge
+                          sets (pair ids, then element ranges)
   top1 <file>             maximum-flow instance via the DP module (§5.1)
   pack <file>             compile an edge list into a packed segment
                           directory (out-of-core backend; see --packed)
@@ -45,17 +48,20 @@ OPTIONS (find/topk/top1/significance):
   --threads <int>         worker threads (0 = all cores)                    [1]
   --hub-degree <int>      split origins with more out-neighbours than this
                           across workers (0 = never split)                  [128]
-  --show <int>            print up to N instances                           [5]
+  --show <int>            print up to N instances: the first N in scan
+                          order, whatever --threads is                      [5]
   --replicas <int>        randomized replicas for significance             [20]
   --edges <int>           motif size for census                             [2]
   --seed <int>            RNG seed                                          [42]
   --packed                treat <file> as a packed segment directory
                           (produced by `pack`) and search it through a
-                          read-only memory map instead of loading it
-                          (find/search, topk, top1)
-  --profile               print a per-stage breakdown (P1 match scan,
-                          P2 enumeration, DP solve, per-worker load)
-                          after the results (find/search, topk, top1)
+                          read-only memory map (find/search, topk, top1).
+                          Without it the edge list is built into the same
+                          segment in memory, so --packed only skips the
+                          parse and the sort
+  --profile               print a per-stage breakdown (graph load, P1
+                          match scan, P2 enumeration, DP solve, per-worker
+                          load) after the results (find/search, topk, top1)
   --extension-order <ord> how P1 picks the motif edge extending each
                           prefix: cardinality (worst-case-optimal) or
                           fixed (the paper's walk order, for A/B runs);

@@ -281,6 +281,13 @@ pub trait InstanceSink {
 
     /// Called for every valid maximal instance.
     fn accept(&mut self, sm: &StructuralMatch, inst: InstanceView<'_>);
+
+    /// Called by the parallel scan before each task it runs, with the
+    /// task's index in the scan's deterministic task list; one worker's
+    /// tasks arrive in ascending index order. A sink whose output must
+    /// not depend on the schedule keys it on this; the default ignores
+    /// it.
+    fn begin_task(&mut self, _task: usize) {}
 }
 
 /// Sink that only counts (the "counting instances without constructing

@@ -59,7 +59,7 @@ impl StructuralMatch {
 /// Contiguity is not a restriction — in a *maximal* instance every edge-set
 /// is exactly the elements of its series falling in a sub-window (see
 /// `enumerate.rs`), which is a contiguous run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeSet {
     /// The `G_T` pair this motif edge maps to.
     pub pair: PairId,

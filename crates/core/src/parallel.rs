@@ -22,11 +22,11 @@
 use crate::enumerate::{
     enumerate_in_match_bounded, CollectSink, CountSink, InstanceSink, SearchOptions, SearchStats,
 };
-use crate::instance::{MotifInstance, StructuralMatch};
+use crate::instance::{InstanceView, MotifInstance, StructuralMatch};
 use crate::matcher::P1Driver;
 use crate::motif::Motif;
 use crate::scratch::SearchScratch;
-use crate::topk::{RankedInstance, TopKSink};
+use crate::topk::{rank_order, RankedInstance, TopKSink};
 use crate::trace::TraceStage;
 use flowmotif_graph::{GraphStore, NodeId, TimeWindow, Timestamp};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,6 +205,7 @@ fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(task) = tasks.get(i) else { break };
                         claimed += 1;
+                        sink.begin_task(i);
                         if opts.trace.is_some() {
                             let t0 = std::time::Instant::now();
                             run_task(
@@ -323,9 +324,58 @@ pub fn par_enumerate_window<G: GraphStore + Sync>(
     (groups, stats)
 }
 
+/// Counts instances and keeps the first `limit` it is offered, each
+/// tagged with the index of the task that found it.
+struct SampleSink {
+    count: u64,
+    limit: usize,
+    task: usize,
+    sample: Vec<(usize, StructuralMatch, MotifInstance)>,
+}
+
+impl InstanceSink for SampleSink {
+    fn accept(&mut self, sm: &StructuralMatch, inst: InstanceView<'_>) {
+        self.count += 1;
+        if self.sample.len() < self.limit {
+            self.sample.push((self.task, sm.clone(), inst.to_instance()));
+        }
+    }
+
+    fn begin_task(&mut self, task: usize) {
+        self.task = task;
+    }
+}
+
+/// Parallel count of the instances, plus the first `show` of them in
+/// scan order — the order a single worker finds them in — whatever the
+/// thread count and schedule. Only the sample is materialised, never the
+/// instance set.
+pub fn par_count_and_sample_with<G: GraphStore + Sync>(
+    g: &G,
+    motif: &Motif,
+    show: usize,
+    opts: SearchOptions,
+    par: ParOptions,
+) -> (u64, Vec<(StructuralMatch, MotifInstance)>, SearchStats) {
+    let workers = effective_threads(par.threads);
+    let sinks = (0..workers)
+        .map(|_| SampleSink { count: 0, limit: show, task: 0, sample: Vec::new() })
+        .collect();
+    let (sinks, stats) = par_scan(g, motif, UNBOUNDED, opts, par, sinks);
+    let count = sinks.iter().map(|s| s.count).sum();
+    // A worker claims tasks in ascending order, so its sample is its
+    // first `show` instances in scan order, and the scan's first `show`
+    // are among the workers' samples. A stable sort by task merges them.
+    let mut sample: Vec<_> = sinks.into_iter().flat_map(|s| s.sample).collect();
+    sample.sort_by_key(|&(task, _, _)| task);
+    sample.truncate(show);
+    (count, sample.into_iter().map(|(_, sm, inst)| (sm, inst)).collect(), stats)
+}
+
 /// Parallel top-k: each worker keeps a local top-k heap; heaps are merged
-/// at the end. The floating threshold is per-worker, so pruning is weaker
-/// than in the sequential version, but results are identical.
+/// in [`rank_order`] at the end. The floating threshold is per-worker, so
+/// pruning is weaker than in the sequential version, but results are
+/// identical — the same instances in the same order.
 pub fn par_top_k<G: GraphStore + Sync>(
     g: &G,
     motif: &Motif,
@@ -350,7 +400,7 @@ pub fn par_top_k_with<G: GraphStore + Sync>(
     for s in sinks {
         all.extend(s.into_sorted());
     }
-    all.sort_by(|a, b| b.instance.flow.total_cmp(&a.instance.flow));
+    all.sort_by(|a, b| rank_order(&a.instance, &b.instance));
     all.truncate(k);
     (all, stats)
 }

@@ -4,10 +4,12 @@
 //! The implementation is Algorithm 1 with two changes, exactly as the
 //! paper prescribes: a size-`k` min-heap tracks the best instances found
 //! so far, and the flow of the current `k`-th instance serves as a
-//! *floating* pruning threshold in place of `ϕ`.
+//! *floating* pruning threshold in place of `ϕ`. Ties in flow are ranked
+//! by the instances' edge sets ([`rank_order`]), so every search order
+//! and thread count returns the same instances in the same order.
 
 use crate::enumerate::{enumerate_with_sink, InstanceSink, SearchOptions, SearchStats};
-use crate::instance::{InstanceView, MotifInstance, StructuralMatch};
+use crate::instance::{EdgeSet, InstanceView, MotifInstance, StructuralMatch};
 use crate::motif::Motif;
 use flowmotif_graph::{Flow, GraphStore};
 use std::cmp::Ordering;
@@ -22,14 +24,25 @@ pub struct RankedInstance {
     pub instance: MotifInstance,
 }
 
-/// Min-heap entry ordered by flow (ties broken by discovery order so runs
-/// are deterministic).
-#[derive(Debug)]
-struct HeapEntry {
-    flow: Flow,
-    seq: u64,
-    result: RankedInstance,
+/// The ranking order of instances, best first: flow descending, then
+/// edge sets ascending (by pair id, then element range, motif edge by
+/// motif edge). Edge sets identify an instance, so the order is total
+/// and a ranking does not depend on the order instances are found in —
+/// sequential and parallel top-k agree on ties too.
+pub fn rank_order(a: &MotifInstance, b: &MotifInstance) -> Ordering {
+    rank_cmp(a.flow, &a.edge_sets, b.flow, &b.edge_sets)
 }
+
+#[inline]
+fn rank_cmp(fa: Flow, ea: &[EdgeSet], fb: Flow, eb: &[EdgeSet]) -> Ordering {
+    fb.total_cmp(&fa).then_with(|| ea.cmp(eb))
+}
+
+/// Heap entry ordered by [`rank_order`]: the best instance compares
+/// least, so the max-heap `BinaryHeap` keeps the *worst* ranked one on
+/// top for eviction.
+#[derive(Debug)]
+struct HeapEntry(RankedInstance);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -44,17 +57,20 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need the *lowest* flow on
-        // top for eviction.
-        other.flow.total_cmp(&self.flow).then_with(|| other.seq.cmp(&self.seq))
+        rank_order(&self.0.instance, &other.0.instance)
     }
 }
 
-/// Sink maintaining the top-k instances by flow with a floating threshold.
+/// Sink maintaining the top-k instances in [`rank_order`] with a
+/// floating threshold.
+///
+/// The threshold lets instances *tied* with the current `k`-th flow
+/// through (it sits just below that flow), so a tie straddling rank `k`
+/// is settled by the edge-set key rather than by discovery order.
 ///
 /// Steady-state accepts are allocation-free: a candidate is cloned only
-/// *after* it beats the current `k`-th flow, and once the heap is full
-/// the evicted entry's buffers (`StructuralMatch` vectors, edge-set
+/// *after* it beats the current `k`-th instance, and once the heap is
+/// full the evicted entry's buffers (`StructuralMatch` vectors, edge-set
 /// vector) are recycled in place via `clone_from` instead of being freed
 /// and reallocated. [`TopKSink::reset`] parks the entries of a finished
 /// search in an internal pool so a reused sink starts its next search
@@ -63,7 +79,6 @@ impl Ord for HeapEntry {
 pub struct TopKSink {
     k: usize,
     heap: BinaryHeap<HeapEntry>,
-    seq: u64,
     /// Retired entries whose buffers the next accepts recycle.
     pool: Vec<HeapEntry>,
 }
@@ -77,14 +92,14 @@ impl TopKSink {
         assert!(k > 0, "top-k search needs k >= 1");
         // At most `k` entries ever exist (heap + pool combined), so the
         // pre-sized pool never reallocates on `reset`.
-        Self { k, heap: BinaryHeap::with_capacity(k + 1), seq: 0, pool: Vec::with_capacity(k) }
+        Self { k, heap: BinaryHeap::with_capacity(k + 1), pool: Vec::with_capacity(k) }
     }
 
-    /// Flow of the current `k`-th best instance (the floating threshold),
-    /// or `-∞` while fewer than `k` instances have been seen.
+    /// Flow of the current `k`-th best instance, or `-∞` while fewer
+    /// than `k` instances have been seen.
     pub fn kth_flow(&self) -> Flow {
         if self.heap.len() == self.k {
-            self.heap.peek().map_or(f64::NEG_INFINITY, |e| e.flow)
+            self.heap.peek().map_or(f64::NEG_INFINITY, |e| e.0.instance.flow)
         } else {
             f64::NEG_INFINITY
         }
@@ -95,65 +110,49 @@ impl TopKSink {
     /// pool — after the first search a reused sink accepts without
     /// allocating.
     pub fn reset(&mut self) {
-        self.seq = 0;
         self.pool.extend(self.heap.drain());
     }
 
-    /// Finishes the search: results sorted by descending flow.
+    /// Finishes the search: results in [`rank_order`].
     pub fn into_sorted(self) -> Vec<RankedInstance> {
-        let mut v: Vec<HeapEntry> = self.heap.into_vec();
-        v.sort_by(|a, b| b.flow.total_cmp(&a.flow).then_with(|| a.seq.cmp(&b.seq)));
-        v.into_iter().map(|e| e.result).collect()
+        self.heap.into_sorted_vec().into_iter().map(|e| e.0).collect()
     }
 
-    /// Writes `(flow, seq, sm, inst)` into `e`, reusing its buffers.
-    fn refill(
-        e: &mut HeapEntry,
-        flow: Flow,
-        seq: u64,
-        sm: &StructuralMatch,
-        inst: InstanceView<'_>,
-    ) {
-        e.flow = flow;
-        e.seq = seq;
-        e.result.structural_match.clone_from(sm);
-        inst.write_to(&mut e.result.instance);
+    /// Writes `(sm, inst)` into `e`, reusing its buffers.
+    fn refill(e: &mut HeapEntry, sm: &StructuralMatch, inst: InstanceView<'_>) {
+        e.0.structural_match.clone_from(sm);
+        inst.write_to(&mut e.0.instance);
     }
 }
 
 impl InstanceSink for TopKSink {
     fn prune_threshold(&self) -> Flow {
-        self.kth_flow()
+        // The enumerator drops flows `<=` the threshold; one step below
+        // the k-th flow keeps the ties, which may still win on the key.
+        self.kth_flow().next_down()
     }
 
     fn accept(&mut self, sm: &StructuralMatch, inst: InstanceView<'_>) {
-        let flow = inst.flow;
         if self.heap.len() == self.k {
             // Clone only after the candidate beats the current k-th
-            // flow. (The enumerator already prunes at the floating
-            // threshold, so this guard only fires for direct callers.)
-            if flow <= self.kth_flow() {
+            // instance.
+            let worst = &self.heap.peek().expect("full heap").0.instance;
+            if rank_cmp(inst.flow, inst.edge_sets, worst.flow, &worst.edge_sets) != Ordering::Less {
                 return;
             }
-            self.seq += 1;
             let mut e = self.heap.pop().expect("full heap");
-            Self::refill(&mut e, flow, self.seq, sm, inst);
+            Self::refill(&mut e, sm, inst);
             self.heap.push(e);
         } else {
-            self.seq += 1;
             let entry = match self.pool.pop() {
                 Some(mut e) => {
-                    Self::refill(&mut e, flow, self.seq, sm, inst);
+                    Self::refill(&mut e, sm, inst);
                     e
                 }
-                None => HeapEntry {
-                    flow,
-                    seq: self.seq,
-                    result: RankedInstance {
-                        structural_match: sm.clone(),
-                        instance: inst.to_instance(),
-                    },
-                },
+                None => HeapEntry(RankedInstance {
+                    structural_match: sm.clone(),
+                    instance: inst.to_instance(),
+                }),
             };
             self.heap.push(entry);
         }
@@ -260,6 +259,26 @@ mod tests {
         let (r, _) = top_k(&g, &m, 10);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].instance.flow, 9.0);
+    }
+
+    /// Two instances of flow 5 share the first pair: the one found
+    /// first (via target 2) has e1 = both events, the one found second
+    /// (via target 3) only the first event, so it ranks first. A
+    /// threshold at the k-th flow itself would prune it unseen.
+    #[test]
+    fn a_tie_found_after_the_heap_filled_still_wins_on_the_key() {
+        let mut b = GraphBuilder::new();
+        for (u, v, t, f) in [(0, 1, 10, 5.0), (0, 1, 20, 5.0), (1, 2, 30, 5.0), (1, 3, 15, 5.0)] {
+            b.add_interaction(u, v, t, f);
+        }
+        let g = b.build_time_series_graph();
+        let m = catalog::by_name("M(3,2)", 100, 0.0).unwrap();
+        let (all, _) = crate::enumerate::enumerate_all(&g, &m);
+        assert_eq!(all.len(), 2, "two structural matches");
+        assert_eq!(all[0].0.walk_nodes(&g), vec![0, 1, 2], "target 2 is found first");
+        let (r, _) = top_k(&g, &m, 1);
+        assert_eq!(r[0].structural_match.walk_nodes(&g), vec![0, 1, 3]);
+        assert_eq!(r[0].instance.edge_sets[0], EdgeSet { pair: 0, start: 0, end: 1 });
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use flowmotif_core::catalog::parse_motif;
 use flowmotif_core::enumerate::count_instances;
-use flowmotif_graph::io::load_time_series_graph;
+use flowmotif_graph::io::{load_segment, load_time_series_graph};
 use flowmotif_graph::segment::segment_path;
 use flowmotif_graph::{
-    pack_edge_list, GraphStore, NodeId, SegmentStore, TimeSeriesGraph, TimeWindow,
+    pack_edge_list, write_segment, GraphStore, NodeId, SegmentStore, TimeSeriesGraph, TimeWindow,
 };
 use flowmotif_util::{RngExt, SeedableRng, StdRng};
 use std::fmt::Write as _;
@@ -128,6 +128,69 @@ fn randomized_pack_roundtrip_is_observationally_identical() {
         // fast path.
         let (_e, _d, mem, seg) = build_both(&body, 17);
         assert_equivalent(&mem, &seg, &mut rng);
+    }
+}
+
+/// A random edge list in every form the loader accepts: comment and
+/// blank lines, comma and tab separators, CRLF line ends, extra
+/// columns, fractional flows, unsorted times and duplicate timestamps
+/// within a pair.
+fn messy_edge_list(rng: &mut StdRng, nodes: u32, events: usize) -> String {
+    let mut body = String::from("# from to time flow\r\n");
+    for _ in 0..events {
+        let u = rng.random_range(0..nodes);
+        let mut v = rng.random_range(0..nodes);
+        if v == u {
+            v = (v + 1) % nodes;
+        }
+        let t = rng.random_range(-20i64..60);
+        let f = match rng.random_range(0..4) {
+            0 => format!("{}.{}", rng.random_range(0..9), rng.random_range(1..99)),
+            1 => format!("{}e0", rng.random_range(1..9)),
+            _ => rng.random_range(1i64..40).to_string(),
+        };
+        let sep = [" ", "\t", ",", " , ", "  "][rng.random_range(0..5usize)];
+        write!(body, "{u}{sep}{v}{sep}{t}{sep}{f}").unwrap();
+        if rng.random_bool(0.1) {
+            write!(body, " extra{}", rng.random_range(0..9)).unwrap();
+        }
+        body.push_str(if rng.random_bool(0.3) { "\r\n" } else { "\n" });
+        match rng.random_range(0..20) {
+            0 => body.push('\n'),
+            1 => body.push_str("% comment\n"),
+            2 => body.push_str("   \r\n"),
+            _ => {}
+        }
+    }
+    body
+}
+
+/// The segment image built in memory from an edge list is byte for byte
+/// the `graph.seg` that `pack` writes (at any sort-run size) and that
+/// `write_segment` writes from the heap graph, and it searches the same.
+#[test]
+fn in_memory_image_is_byte_identical_to_pack_and_write_segment() {
+    for seed in 0..10u64 {
+        let mut rng = StdRng::seed_from_u64(0x1A6E + seed);
+        let nodes = rng.random_range(2u32..30);
+        let events = if seed == 0 { 0 } else { rng.random_range(1usize..500) };
+        let body = messy_edge_list(&mut rng, nodes, events);
+        let edges = Temp(unique_path("messy"));
+        std::fs::write(&edges.0, &body).unwrap();
+
+        let built = SegmentStore::from_edge_list(body.as_bytes()).unwrap();
+        assert_eq!(load_segment(&edges.0).unwrap().image(), built.image(), "seed {seed}");
+        for run_records in [5, 1 << 20] {
+            let dir = Temp(unique_path("messy_pack"));
+            pack_edge_list(&edges.0, &dir.0, run_records).unwrap();
+            let packed = std::fs::read(segment_path(&dir.0)).unwrap();
+            assert!(packed == built.image(), "seed {seed}: pack (runs of {run_records}) differs");
+        }
+        let mem = load_time_series_graph(&edges.0).unwrap();
+        let dir = Temp(unique_path("messy_heap"));
+        let written = std::fs::read(write_segment(&mem, &dir.0).unwrap()).unwrap();
+        assert!(written == built.image(), "seed {seed}: write_segment differs");
+        assert_equivalent(&mem, &built, &mut rng);
     }
 }
 

@@ -213,6 +213,96 @@ impl ActiveOriginIndex {
     }
 }
 
+/// One-pass builder of an [`ActiveOriginIndex`] for the bulk
+/// constructions (the heap graph's rebuild and the segment writer),
+/// which see events grouped by pair with origins in non-decreasing
+/// order.
+///
+/// Over a known span the width is fixed by
+/// [`ActiveOriginIndex::preset_span`], which never leaves more buckets
+/// than the coarsening cap (258 unless the span overflows `i64`). So the
+/// buckets are a dense array, and an origin is appended to a bucket
+/// unless it is already the bucket's last entry: ascending origins keep
+/// every bucket sorted and deduplicated without a search or an insert.
+/// The result equals recording every event through
+/// [`ActiveOriginIndex::record`] after the preset. Without a span, or at
+/// the first event outside it, the builder hands its buckets to an index
+/// and goes on through `record`.
+#[derive(Debug)]
+pub(crate) struct IndexBuilder {
+    state: BuildState,
+}
+
+#[derive(Debug)]
+enum BuildState {
+    /// Buckets `first ..` of width `1 << shift`, dense.
+    Dense { shift: u32, first: i64, buckets: Vec<Vec<NodeId>>, last_origin: NodeId },
+    /// The general path, for events outside the preset span.
+    Sparse(ActiveOriginIndex),
+}
+
+impl IndexBuilder {
+    /// A builder for events inside `span` (`None`: no preset width).
+    pub fn new(span: Option<(Timestamp, Timestamp)>) -> Self {
+        let mut index = ActiveOriginIndex::new();
+        let Some((lo, hi)) = span.filter(|&(lo, hi)| lo <= hi) else {
+            return Self { state: BuildState::Sparse(index) };
+        };
+        index.preset_span(lo, hi);
+        let shift = index.width.trailing_zeros();
+        let (first, last) = (lo >> shift, hi >> shift);
+        let buckets = vec![Vec::new(); (last - first + 1) as usize];
+        Self { state: BuildState::Dense { shift, first, buckets, last_origin: 0 } }
+    }
+
+    /// Notes an out-edge event of `origin` at time `t`. Origins must not
+    /// decrease from one call to the next.
+    #[inline]
+    pub fn note(&mut self, origin: NodeId, t: Timestamp) {
+        match &mut self.state {
+            BuildState::Dense { shift, first, buckets, last_origin } => {
+                debug_assert!(origin >= *last_origin, "origins must arrive in ascending order");
+                *last_origin = origin;
+                // The width is a power of two, so the arithmetic shift is
+                // the flooring division `bucket_of` does.
+                let b = (t >> *shift).wrapping_sub(*first);
+                match usize::try_from(b).ok().and_then(|b| buckets.get_mut(b)) {
+                    Some(v) => {
+                        if v.last() != Some(&origin) {
+                            v.push(origin);
+                        }
+                    }
+                    _ => {
+                        self.state = BuildState::Sparse(self.take_dense());
+                        self.note(origin, t);
+                    }
+                }
+            }
+            BuildState::Sparse(index) => index.record(origin, t),
+        }
+    }
+
+    /// The dense buckets as an index (leaves the builder empty).
+    fn take_dense(&mut self) -> ActiveOriginIndex {
+        match &mut self.state {
+            BuildState::Dense { shift, first, buckets, .. } => ActiveOriginIndex::from_raw_parts(
+                1 << *shift,
+                std::mem::take(buckets)
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_empty())
+                    .map(|(i, v)| (*first + i as i64, v)),
+            ),
+            BuildState::Sparse(index) => std::mem::take(index),
+        }
+    }
+
+    /// The finished index.
+    pub fn finish(mut self) -> ActiveOriginIndex {
+        self.take_dense()
+    }
+}
+
 /// Incremental bulk-registration helper: notes the events of one sorted
 /// series into an [`ActiveOriginIndex`] while skipping consecutive events
 /// that land in the same bucket (the common case for a dense series,
@@ -224,10 +314,9 @@ impl ActiveOriginIndex {
 /// collide across widths — skipping then would silently drop index
 /// entries).
 ///
-/// Used by the in-memory bulk build ([`crate::TimeSeriesGraph`]) and by
-/// the streaming segment packer, which sees events one at a time and
-/// cannot afford to buffer a whole series; both produce identical
-/// indexes for identical event sequences.
+/// Used by the heap graph's incremental paths (series merged into or
+/// inserted into a live [`crate::TimeSeriesGraph`]); the bulk builds go
+/// through `IndexBuilder`.
 #[derive(Debug, Default)]
 pub struct SeriesRecorder {
     /// `(width, bucket)` of the last recorded event, if any.
@@ -382,6 +471,41 @@ mod tests {
             idx.buckets().map(|(b, v)| (b, v.to_vec())),
         );
         assert_eq!(rebuilt, idx);
+    }
+
+    /// The one-pass builder must produce exactly the index that
+    /// `record` builds over the preset span — also when an event falls
+    /// outside the span, or no span is given.
+    #[test]
+    fn bulk_builder_equals_recording_every_event() {
+        use flowmotif_util::{RngExt, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB1D);
+        for case in 0..40 {
+            let (lo, hi) = match case % 4 {
+                0 => (0, 0),
+                1 => (-5_000, 5_000),
+                2 => (i64::MIN, i64::MAX),
+                _ => (rng.random_range(-1_000_000i64..0), rng.random_range(0i64..1_000_000)),
+            };
+            let mut events: Vec<(NodeId, Timestamp)> = (0..rng.random_range(0..300))
+                .map(|_| (rng.random_range(0..40u32), rng.random_range(lo..=hi)))
+                .collect();
+            if case % 5 == 4 {
+                events.push((rng.random_range(0..40u32), hi.saturating_add(1 << 20)));
+            }
+            events.sort_by_key(|&(u, _)| u);
+            let span = (case % 7 != 6).then_some((lo, hi));
+            let mut want = ActiveOriginIndex::new();
+            if let Some((lo, hi)) = span {
+                want.preset_span(lo, hi);
+            }
+            let mut builder = IndexBuilder::new(span);
+            for &(u, t) in &events {
+                want.record(u, t);
+                builder.note(u, t);
+            }
+            assert_eq!(builder.finish(), want, "case {case}");
+        }
     }
 
     #[test]

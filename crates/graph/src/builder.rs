@@ -49,12 +49,7 @@ impl GraphBuilder {
         time: Timestamp,
         flow: Flow,
     ) -> Result<(), GraphError> {
-        if !(flow.is_finite() && flow > 0.0) {
-            return Err(GraphError::InvalidFlow { flow, from: from as u64, to: to as u64 });
-        }
-        if from == to && !self.allow_self_loops {
-            return Err(GraphError::SelfLoop(from as u64));
-        }
+        check_interaction(from, to, flow, self.allow_self_loops)?;
         self.num_nodes = self.num_nodes.max(from.max(to) as usize + 1);
         self.num_interactions += 1;
         self.per_pair.entry((from, to)).or_default().push(Event::new(time, flow));
@@ -105,6 +100,23 @@ impl GraphBuilder {
         }
         g
     }
+}
+
+/// The checks every edge-list consumer applies to an interaction: a
+/// finite, positive flow, then no self-loop unless allowed.
+pub(crate) fn check_interaction(
+    from: NodeId,
+    to: NodeId,
+    flow: Flow,
+    allow_self_loops: bool,
+) -> Result<(), GraphError> {
+    if !(flow.is_finite() && flow > 0.0) {
+        return Err(GraphError::InvalidFlow { flow, from: from as u64, to: to as u64 });
+    }
+    if from == to && !allow_self_loops {
+        return Err(GraphError::SelfLoop(from as u64));
+    }
+    Ok(())
 }
 
 impl From<&TemporalMultigraph> for TimeSeriesGraph {

@@ -8,6 +8,7 @@
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::multigraph::TemporalMultigraph;
+use crate::segment::SegmentStore;
 use crate::tsgraph::TimeSeriesGraph;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -42,24 +43,135 @@ fn parse_line(line: &str, lineno: usize) -> Result<Option<(u32, u32, i64, f64)>,
     Ok(Some((from, to, time, flow)))
 }
 
+/// Whether `b` is an ASCII character [`char::is_whitespace`] accepts
+/// (`u8::is_ascii_whitespace` leaves out the vertical tab).
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r')
+}
+
+#[inline]
+fn is_separator(b: u8) -> bool {
+    is_space(b) || b == b','
+}
+
+/// A cursor over the separator-delimited fields of one line.
+struct Fields<'a> {
+    line: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Moves past separators to the start of the next field.
+    #[inline]
+    fn skip_separators(&mut self) {
+        while self.line.get(self.at).is_some_and(|&b| is_separator(b)) {
+            self.at += 1;
+        }
+    }
+
+    /// The next field, whatever its bytes.
+    fn text(&mut self) -> Option<&'a [u8]> {
+        self.skip_separators();
+        let start = self.at;
+        while self.line.get(self.at).is_some_and(|&b| !is_separator(b)) {
+            self.at += 1;
+        }
+        (self.at > start).then(|| &self.line[start..self.at])
+    }
+
+    /// The next field as a run of 1 to `max_len` decimal digits (at most
+    /// 19, so the value fits), or `None` if it is anything else.
+    #[inline]
+    fn digits(&mut self, max_len: usize) -> Option<u64> {
+        self.skip_separators();
+        self.digits_here(max_len)
+    }
+
+    /// [`Fields::digits`] for a field that starts at the cursor.
+    #[inline]
+    fn digits_here(&mut self, max_len: usize) -> Option<u64> {
+        let start = self.at;
+        let mut v = 0u64;
+        while let Some(&b) = self.line.get(self.at) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                if !is_separator(b) {
+                    return None;
+                }
+                break;
+            }
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+            self.at += 1;
+        }
+        let len = self.at - start;
+        (len > 0 && len <= max_len).then_some(v)
+    }
+}
+
+/// The byte-level fast path of [`parse_line`]. It settles the common
+/// lines — ASCII, plain decimal ids, times and flows — and returns
+/// `None` for every other line, which then goes through `parse_line` so
+/// that its answers and errors stay exactly the same. Flows of at most
+/// 15 digits are exact as `u64 as f64` (below 2^53); other flows go
+/// through `str::parse::<f64>`, as in `parse_line`.
+fn parse_record(line: &[u8]) -> Option<Option<(u32, u32, i64, f64)>> {
+    match line.iter().find(|&&b| !is_space(b)) {
+        None => return Some(None), // blank
+        // A comment must still be valid UTF-8, as `read_line` demands.
+        Some(b'#' | b'%') => return line.is_ascii().then_some(None),
+        Some(_) => {}
+    }
+    let mut fields = Fields { line, at: 0 };
+    let from = u32::try_from(fields.digits(10)?).ok()?;
+    let to = u32::try_from(fields.digits(10)?).ok()?;
+    fields.skip_separators();
+    let time = if line.get(fields.at) == Some(&b'-') {
+        fields.at += 1;
+        -(fields.digits_here(18)? as i64)
+    } else {
+        fields.digits(18)? as i64
+    };
+    let start = fields.at;
+    let flow = match fields.digits(15) {
+        Some(v) => v as f64,
+        None => {
+            fields.at = start;
+            std::str::from_utf8(fields.text()?).ok()?.parse().ok()?
+        }
+    };
+    // Extra columns are ignored, but must be valid UTF-8 too.
+    line[fields.at..].is_ascii().then_some(Some((from, to, time, flow)))
+}
+
+/// The error `BufRead::read_line` gives for a line that is not UTF-8.
+fn invalid_utf8() -> GraphError {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+        .into()
+}
+
 /// Streaming iterator over the `(from, to, time, flow)` records of an
 /// edge list: one buffered line at a time, never the whole file.
 /// Comments and blank lines are skipped; parse failures surface as
 /// [`GraphError::Parse`] with the 1-based line number.
 ///
+/// Lines are parsed as bytes by a fast path for the common case; any
+/// line it declines is parsed as text, so what is accepted and every
+/// error are those of the text parser.
+///
 /// This is the shared front-end of every edge-list consumer — the
-/// in-memory builders below and the out-of-core segment packer, which
-/// streams records straight into external-sort runs.
+/// in-memory builders below and the segment builders, which sort the
+/// records in memory or stream them into external-sort runs.
 pub struct EdgeListRecords<R: Read> {
     reader: BufReader<R>,
-    line: String,
+    line: Vec<u8>,
     lineno: usize,
 }
 
 impl<R: Read> EdgeListRecords<R> {
     /// Wraps a reader in a buffered record iterator.
     pub fn new(reader: R) -> Self {
-        Self { reader: BufReader::new(reader), line: String::new(), lineno: 0 }
+        Self { reader: BufReader::with_capacity(1 << 16, reader), line: Vec::new(), lineno: 0 }
     }
 
     /// 1-based number of the last line read (0 before the first line).
@@ -73,14 +185,36 @@ impl<R: Read> Iterator for EdgeListRecords<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            // A whole line inside the read buffer is parsed in place.
+            if let Ok(buf) = self.reader.fill_buf() {
+                let line = buf.iter().position(|&b| b == b'\n').map(|n| &buf[..=n]);
+                if let Some((len, rec)) = line.and_then(|l| Some((l.len(), parse_record(l)?))) {
+                    self.reader.consume(len);
+                    self.lineno += 1;
+                    match rec {
+                        Some(rec) => return Some(Ok(rec)),
+                        None => continue, // comment or blank line
+                    }
+                }
+            }
+            // Otherwise the line is copied out, which also covers lines
+            // across buffer refills, the last line, errors and the text
+            // parser's fallback.
             self.line.clear();
-            match self.reader.read_line(&mut self.line) {
+            match self.reader.read_until(b'\n', &mut self.line) {
                 Err(e) => return Some(Err(e.into())),
                 Ok(0) => return None,
                 Ok(_) => {}
             }
+            let parsed = match parse_record(&self.line) {
+                Some(rec) => Ok(rec),
+                None => match std::str::from_utf8(&self.line) {
+                    Ok(text) => parse_line(text, self.lineno + 1),
+                    Err(_) => return Some(Err(invalid_utf8())),
+                },
+            };
             self.lineno += 1;
-            match parse_line(&self.line, self.lineno) {
+            match parsed {
                 Err(e) => return Some(Err(e)),
                 Ok(Some(rec)) => return Some(Ok(rec)),
                 Ok(None) => continue, // comment or blank line
@@ -112,6 +246,16 @@ pub fn load_time_series_graph<P: AsRef<Path>>(path: P) -> Result<TimeSeriesGraph
     let file = open_with_context(path)?;
     let builder = read_edge_list(file).map_err(|e| e.in_file(path))?;
     Ok(builder.build_time_series_graph())
+}
+
+/// Builds an edge-list file into an in-memory segment
+/// ([`SegmentStore::from_edge_list`]): the flat, read-only layout the
+/// search commands run on, byte-identical to what `pack` writes. Errors
+/// carry the file path, as [`load_time_series_graph`]'s do.
+pub fn load_segment<P: AsRef<Path>>(path: P) -> Result<SegmentStore, GraphError> {
+    let path = path.as_ref();
+    let file = open_with_context(path)?;
+    SegmentStore::from_edge_list(file).map_err(|e| e.in_file(path))
 }
 
 /// Loads a raw multigraph from an edge-list file. Errors carry the file
@@ -200,6 +344,214 @@ mod tests {
         let err = load_multigraph(&missing).unwrap_err();
         assert!(err.to_string().contains("does_not_exist.txt"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The edge-list reader as it was before the byte-level fast path:
+    /// `read_line` and [`parse_line`] for every line, up to the first
+    /// error. Records carry their flow as bits; errors are rendered with
+    /// their variant.
+    fn text_reader(input: &[u8]) -> Vec<Result<(u32, u32, i64, u64), String>> {
+        let mut reader = BufReader::new(input);
+        let (mut line, mut lineno, mut out) = (String::new(), 0, Vec::new());
+        loop {
+            line.clear();
+            match reader.read_line(&mut line) {
+                Err(e) => {
+                    out.push(Err(rendered(&GraphError::from(e))));
+                    return out;
+                }
+                Ok(0) => return out,
+                Ok(_) => {}
+            }
+            lineno += 1;
+            match parse_line(&line, lineno) {
+                Err(e) => {
+                    out.push(Err(rendered(&e)));
+                    return out;
+                }
+                Ok(Some((u, v, t, f))) => out.push(Ok((u, v, t, f.to_bits()))),
+                Ok(None) => {}
+            }
+        }
+    }
+
+    fn byte_reader(input: &[u8]) -> Vec<Result<(u32, u32, i64, u64), String>> {
+        let mut out = Vec::new();
+        for rec in EdgeListRecords::new(input) {
+            match rec {
+                Ok((u, v, t, f)) => out.push(Ok((u, v, t, f.to_bits()))),
+                Err(e) => {
+                    out.push(Err(rendered(&e)));
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    fn rendered(e: &GraphError) -> String {
+        let variant = format!("{e:?}");
+        let variant = variant.split(['(', ' ', '{']).next().unwrap_or_default().to_string();
+        format!("{variant}: {e}")
+    }
+
+    /// One edge-list line, well-formed or broken in the ways real files
+    /// are: bad digits, u32 and i64 overflow, signs, non-finite or
+    /// non-positive flows, self-loops, missing and extra fields, odd
+    /// separators, non-ASCII and non-UTF-8 bytes, comments and blanks.
+    fn mutated_line(rng: &mut flowmotif_util::StdRng) -> Vec<u8> {
+        use flowmotif_util::RngExt;
+        const SEPARATORS: [&str; 7] = [" ", "  ", "\t", ",", ", ", " ,", "\x0b"];
+        const NODES: [&str; 10] = [
+            "0",
+            "7",
+            "4294967295",
+            "4294967296",
+            "18446744073709551616",
+            "007",
+            "+3",
+            "-1",
+            "",
+            "x",
+        ];
+        const TIMES: [&str; 10] = [
+            "0",
+            "-5",
+            "1020",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-",
+            "+4",
+            "--2",
+            "12a",
+        ];
+        const FLOWS: [&str; 16] = [
+            "3",
+            "2.5",
+            "0",
+            "-1",
+            "inf",
+            "NaN",
+            "1e309",
+            "-0",
+            ".5",
+            "5.",
+            "0x10",
+            "1_0",
+            "123456789012345",
+            "1234567890123456789",
+            "00000000000000000042",
+            "e",
+        ];
+        const JUNK: [&str; 12] =
+            ["x", "-", "+", ".", "#", "%", ",", " ", "\r", "é", "\u{a0}", "\u{2003}"];
+        let pick = |rng: &mut flowmotif_util::StdRng, xs: &[&str]| {
+            xs[rng.random_range(0..xs.len())].to_string()
+        };
+        let node = |rng: &mut flowmotif_util::StdRng| {
+            if rng.random_bool(0.7) {
+                rng.random_range(0u32..20).to_string()
+            } else {
+                pick(rng, &NODES)
+            }
+        };
+        let mut fields = vec![node(rng), node(rng)];
+        if rng.random_bool(0.1) {
+            fields[1] = fields[0].clone(); // self-loop
+        }
+        fields.push(if rng.random_bool(0.7) {
+            rng.random_range(-50i64..5000).to_string()
+        } else {
+            pick(rng, &TIMES)
+        });
+        fields.push(if rng.random_bool(0.6) {
+            rng.random_range(1u32..100).to_string()
+        } else {
+            pick(rng, &FLOWS)
+        });
+        if rng.random_bool(0.15) {
+            fields.truncate(rng.random_range(0..4)); // missing fields
+        }
+        if rng.random_bool(0.15) {
+            fields.push(pick(rng, &["extra", "9", "é", "#"])); // extra column
+        }
+        let mut line = String::new();
+        if rng.random_bool(0.1) {
+            line.push_str(&pick(rng, &[" ", "\t", "\u{a0}", ","]));
+        }
+        for (i, f) in fields.iter().enumerate() {
+            if i > 0 {
+                line.push_str(&pick(rng, &SEPARATORS));
+            }
+            line.push_str(f);
+        }
+        let mut line = line.into_bytes();
+        match rng.random_range(0..12) {
+            // Overwrite or insert one junk character.
+            0 | 1 if !line.is_empty() => {
+                let at = rng.random_range(0..line.len());
+                let junk = pick(rng, &JUNK).into_bytes();
+                line.splice(at..at + usize::from(rng.random_bool(0.5)), junk);
+            }
+            2 => line.insert(rng.random_range(0..=line.len()), 0xff), // not UTF-8
+            3 => {
+                let lead = pick(rng, &["#", "% ", " # ", ",#", "\u{a0}#"]).into_bytes();
+                line.splice(0..0, lead);
+            }
+            4 => line.clear(),
+            _ => {}
+        }
+        line.extend_from_slice(match rng.random_range(0..6) {
+            0 => b"\r\n",
+            1 => b" \n",
+            _ => b"\n",
+        });
+        line
+    }
+
+    /// The fast path must accept and reject exactly what the text
+    /// parser does, with the same records, error variants, messages and
+    /// line numbers — and the in-memory segment build must reject
+    /// exactly what the builder rejects. Iterations default to 20000;
+    /// `FLOWMOTIF_PARSE_FUZZ_ITERS` sets another budget.
+    #[test]
+    fn byte_parser_agrees_with_the_text_parser_on_mutated_lines() {
+        use flowmotif_util::{RngExt, SeedableRng, StdRng};
+        let iters = std::env::var("FLOWMOTIF_PARSE_FUZZ_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(20_000u64);
+        let mut rng = StdRng::seed_from_u64(0x0ED6E);
+        for i in 0..iters {
+            let mut doc = Vec::new();
+            for _ in 0..rng.random_range(1..5) {
+                doc.extend(mutated_line(&mut rng));
+            }
+            if rng.random_bool(0.2) && doc.last() == Some(&b'\n') {
+                doc.pop(); // no final newline
+            }
+            let want = text_reader(&doc);
+            assert_eq!(
+                byte_reader(&doc),
+                want,
+                "iteration {i}: {:?}",
+                String::from_utf8_lossy(&doc)
+            );
+            // Node ids are dense array indexes: build only small graphs.
+            if want.iter().flatten().any(|&(u, v, ..)| u.max(v) > 1000) {
+                continue;
+            }
+            let builder = read_edge_list(doc.as_slice()).map(|b| b.num_interactions());
+            let segment = SegmentStore::from_edge_list(doc.as_slice())
+                .map(|s| crate::GraphStore::num_interactions(&s));
+            assert_eq!(
+                segment.map_err(|e| rendered(&e)),
+                builder.map_err(|e| rendered(&e)),
+                "iteration {i}: {:?}",
+                String::from_utf8_lossy(&doc)
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Minimal read-only memory mapping, dependency-free.
 //!
 //! The segment backend views a packed file as `&[u8]` without reading it
-//! into the heap. On unix this is a `PROT_READ`/`MAP_PRIVATE` `mmap(2)`
+//! into the heap, or an image built in memory through the same type. On unix this is a `PROT_READ`/`MAP_PRIVATE` `mmap(2)`
 //! (declared directly against libc, which `std` already links); elsewhere
 //! the file is read into owned storage so the rest of the crate stays
 //! portable. Both paths guarantee the returned bytes are **8-aligned**,
@@ -23,8 +23,9 @@ enum Backing {
     /// A live `mmap(2)` region (unix only), unmapped on drop.
     #[cfg(unix)]
     Mapped(*const u8),
-    /// Owned fallback. `u64` storage keeps the base pointer 8-aligned,
-    /// which a `Vec<u8>` would not.
+    /// Owned bytes: a segment image built in memory, or the fallback
+    /// where `mmap(2)` is unavailable. `u64` storage keeps the base
+    /// pointer 8-aligned, which a `Vec<u8>` would not.
     Owned(Vec<u64>),
 }
 
@@ -92,6 +93,14 @@ impl Mmap {
         Ok(Self { backing: Backing::Owned(words), len })
     }
 
+    /// A view of the first `len` bytes of an image built in memory (the
+    /// segment writer's in-memory sink).
+    pub(crate) fn owned(words: Vec<u64>, len: usize) -> Self {
+        assert!(len <= words.len() * 8, "image shorter than its declared length");
+        crate::metrics::SEGMENT_MAPPED_BYTES.add(len as u64);
+        Self { backing: Backing::Owned(words), len }
+    }
+
     /// The view's length in bytes.
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -110,6 +119,14 @@ impl Mmap {
             },
         }
     }
+}
+
+/// `words` as bytes: `u8` has no alignment requirement, and every bit
+/// pattern is a valid `u64`.
+pub(crate) fn bytes_of_mut(words: &mut [u64]) -> &mut [u8] {
+    // SAFETY: the byte view covers exactly the words' storage and
+    // borrows it mutably for its whole lifetime.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, words.len() * 8) }
 }
 
 impl Drop for Mmap {

@@ -39,16 +39,20 @@
 //! activity index construction), which is what makes search results on
 //! the two backends bit-identical.
 //!
-//! [`SegmentWriter`] streams a segment out pair by pair while holding
-//! O(nodes + current pair) state, and [`pack_edge_list`] feeds it from
-//! an external merge sort over bounded-memory sorted runs — packing
-//! never materialises the graph.
+//! [`SegmentWriter`] writes a segment pair by pair into spill files or
+//! into one image in memory. [`pack_edge_list`] feeds the spilling
+//! writer from an external merge sort over bounded-memory sorted runs —
+//! packing never materialises the graph — and
+//! [`SegmentStore::from_edge_list`] sorts the records in memory, writes
+//! the image in place and opens it, with no file in between; both give
+//! the same bytes.
 
-use crate::active::{ActiveOriginIndex, SeriesRecorder};
+use crate::active::{ActiveOriginIndex, IndexBuilder};
+use crate::builder::check_interaction;
 use crate::error::GraphError;
 use crate::event::{Event, Flow, NodeId, PairId, Timestamp};
 use crate::io::EdgeListRecords;
-use crate::mmap::Mmap;
+use crate::mmap::{bytes_of_mut, Mmap};
 use crate::series::SeriesRef;
 use crate::tsgraph::TimeSeriesGraph;
 use crate::window::TimeWindow;
@@ -109,25 +113,31 @@ pub fn segment_path(path: &Path) -> PathBuf {
 // Writer
 // ---------------------------------------------------------------------
 
-/// Streams a segment file out pair by pair (pairs strictly ascending by
+/// Writes a segment pair by pair (pairs strictly ascending by
 /// `(origin, target)`, events non-decreasing by time within a pair —
-/// exactly the order [`TimeSeriesGraph`] stores). Sections go to
-/// temporary spill files next to the target and are concatenated behind
-/// the header on [`SegmentWriter::finish`]; resident state is O(index +
-/// pairs + constants) — the transposed adjacency keeps one 12-byte
-/// `(target, source, pair)` triple per pair until `finish` sorts and
-/// spills it, still far below O(interactions).
+/// exactly the order [`TimeSeriesGraph`] stores) into one of two sinks:
+///
+/// * [`SegmentWriter::create`] streams the sections into temporary spill
+///   files next to the target and concatenates them behind the header on
+///   [`SegmentWriter::finish`]. Resident state is O(index + pairs +
+///   constants): the transposed adjacency keeps one 8-byte
+///   `(target, source)` entry per pair until `finish` spills it, still
+///   far below O(interactions).
+/// * The in-memory sink (behind [`SegmentStore::from_edge_list`]) is
+///   given the node, pair and event counts up front, lays the whole
+///   image out at once and writes every section in place; the finished
+///   image is opened as a [`SegmentStore`] without touching a file.
+///
+/// Both produce the same bytes for the same input.
 #[derive(Debug)]
 pub struct SegmentWriter {
-    dir: PathBuf,
+    sink: Sink,
     num_nodes: usize,
-    sections: Vec<BufWriter<File>>,
     /// Provided global time span (also the index preset, so the packed
     /// activity index starts from the same bucket width as a bulk
     /// rebuild).
     span: Option<(Timestamp, Timestamp)>,
-    index: ActiveOriginIndex,
-    recorder: SeriesRecorder,
+    index: IndexBuilder,
     cur_pair: Option<(NodeId, NodeId)>,
     cur_origin: Option<NodeId>,
     origin_span: (Timestamp, Timestamp),
@@ -137,11 +147,29 @@ pub struct SegmentWriter {
     out_filled: usize,
     /// `origin_span` entries emitted so far.
     span_filled: usize,
-    /// `(target, source, pair)` triples, transposed into the in-edge
-    /// sections on `finish`.
-    transpose: Vec<(NodeId, NodeId, PairId)>,
+    /// `(target, source)` of every pair in pair order, transposed into
+    /// the in-edge sections on `finish`.
+    in_edges: Vec<(NodeId, NodeId)>,
     last_time: Timestamp,
     acc: Flow,
+}
+
+/// Where a [`SegmentWriter`] puts its sections.
+#[derive(Debug)]
+enum Sink {
+    /// One spill file per section in `dir`.
+    Spill { dir: PathBuf, files: Vec<BufWriter<File>> },
+    /// The whole image; section `i` is written at `cursor[i]`, which
+    /// must end at `end[i]`.
+    Image { words: Vec<u64>, cursor: [usize; NUM_SPILL], end: [usize; NUM_SPILL] },
+}
+
+/// A sealed segment's parts beside the sections: the header, the
+/// serialized activity index, and the offsets of every section.
+struct Sealed {
+    header: Vec<u8>,
+    index_bytes: Vec<u8>,
+    offsets: [u64; NUM_SECTIONS],
 }
 
 /// Section order inside the writer (and the file).
@@ -161,6 +189,37 @@ const S_INDEX: usize = NUM_SPILL;
 /// Sections in the file: the spill sections plus the trailing index.
 const NUM_SECTIONS: usize = NUM_SPILL + 1;
 
+/// Byte sizes of the sections before the index, for a segment with
+/// these counts.
+fn section_sizes(num_nodes: u64, num_pairs: u64, num_events: u64) -> [u64; NUM_SPILL] {
+    let (n, p, e) = (num_nodes, num_pairs, num_events);
+    [
+        4 * (n + 1), // out_start
+        4 * p,       // targets
+        4 * p,       // origins
+        8 * (p + 1), // event_start
+        16 * n,      // origin_span
+        16 * e,      // events
+        8 * (e + p), // prefix
+        4 * (n + 1), // in_start
+        4 * p,       // in_pairs
+        4 * p,       // in_sources
+    ]
+}
+
+/// Section offsets: each section starts 8-aligned behind the previous
+/// one, the index last.
+fn layout(sizes: &[u64; NUM_SPILL]) -> [u64; NUM_SECTIONS] {
+    let mut offsets = [0u64; NUM_SECTIONS];
+    let mut cursor = HEADER_LEN as u64;
+    for (off, &size) in offsets.iter_mut().zip(sizes) {
+        *off = cursor;
+        cursor = align8(cursor + size);
+    }
+    offsets[S_INDEX] = cursor;
+    offsets
+}
+
 impl SegmentWriter {
     /// Opens a writer targeting `dir/graph.seg`. `num_nodes` and the
     /// exact global `time_span` must be known up front (one streaming
@@ -171,7 +230,7 @@ impl SegmentWriter {
         span: Option<(Timestamp, Timestamp)>,
     ) -> Result<Self, GraphError> {
         std::fs::create_dir_all(dir)?;
-        let mut sections = Vec::with_capacity(NUM_SPILL);
+        let mut files = Vec::with_capacity(NUM_SPILL);
         for i in 0..NUM_SPILL {
             let f = std::fs::OpenOptions::new()
                 .read(true)
@@ -179,19 +238,39 @@ impl SegmentWriter {
                 .create(true)
                 .truncate(true)
                 .open(Self::spill_path(dir, i))?;
-            sections.push(BufWriter::new(f));
+            files.push(BufWriter::new(f));
         }
-        let mut index = ActiveOriginIndex::new();
-        if let Some((lo, hi)) = span {
-            index.preset_span(lo, hi);
-        }
+        Self::with_sink(Sink::Spill { dir: dir.to_path_buf(), files }, num_nodes, span)
+    }
+
+    /// A writer building the image in memory, for exactly `num_pairs`
+    /// pairs holding `num_events` events; sealed by
+    /// [`SegmentWriter::finish_in_memory`].
+    fn in_memory(
+        num_nodes: usize,
+        num_pairs: usize,
+        num_events: usize,
+        span: Option<(Timestamp, Timestamp)>,
+    ) -> Result<Self, GraphError> {
+        let sizes = section_sizes(num_nodes as u64, num_pairs as u64, num_events as u64);
+        let offsets = layout(&sizes);
+        let cursor: [usize; NUM_SPILL] = std::array::from_fn(|i| offsets[i] as usize);
+        let end = std::array::from_fn(|i| cursor[i] + sizes[i] as usize);
+        // The index is appended on `finish_in_memory`.
+        let words = vec![0u64; offsets[S_INDEX] as usize / 8];
+        Self::with_sink(Sink::Image { words, cursor, end }, num_nodes, span)
+    }
+
+    fn with_sink(
+        sink: Sink,
+        num_nodes: usize,
+        span: Option<(Timestamp, Timestamp)>,
+    ) -> Result<Self, GraphError> {
         let mut w = Self {
-            dir: dir.to_path_buf(),
+            sink,
             num_nodes,
-            sections,
             span,
-            index,
-            recorder: SeriesRecorder::new(),
+            index: IndexBuilder::new(span),
             cur_pair: None,
             cur_origin: None,
             origin_span: EMPTY_SPAN,
@@ -199,7 +278,7 @@ impl SegmentWriter {
             events_written: 0,
             out_filled: 0,
             span_filled: 0,
-            transpose: Vec::new(),
+            in_edges: Vec::new(),
             last_time: Timestamp::MIN,
             acc: 0.0,
         };
@@ -216,7 +295,15 @@ impl SegmentWriter {
 
     #[inline]
     fn write(&mut self, section: usize, bytes: &[u8]) -> Result<(), GraphError> {
-        self.sections[section].write_all(bytes)?;
+        match &mut self.sink {
+            Sink::Spill { files, .. } => files[section].write_all(bytes)?,
+            Sink::Image { words, cursor, end } => {
+                let (at, to) = (cursor[section], cursor[section] + bytes.len());
+                assert!(to <= end[section], "section {section} overruns its declared size");
+                bytes_of_mut(words)[at..to].copy_from_slice(bytes);
+                cursor[section] = to;
+            }
+        }
         Ok(())
     }
 
@@ -279,12 +366,11 @@ impl SegmentWriter {
         self.write(S_TARGETS, &v.to_le_bytes())?;
         self.write(S_ORIGINS, &u.to_le_bytes())?;
         self.write(S_PREFIX, &0.0f64.to_le_bytes())?;
-        self.transpose.push((v, u, self.pairs_written as PairId));
+        self.in_edges.push((v, u));
         self.cur_pair = Some((u, v));
         self.pairs_written += 1;
         self.last_time = Timestamp::MIN;
         self.acc = 0.0;
-        self.recorder.reset();
         Ok(())
     }
 
@@ -305,14 +391,13 @@ impl SegmentWriter {
         self.events_written += 1;
         self.origin_span.0 = self.origin_span.0.min(t);
         self.origin_span.1 = self.origin_span.1.max(t);
-        self.recorder.note(&mut self.index, u, t);
+        self.index.note(u, t);
         Ok(())
     }
 
-    /// Finalizes the segment: pads out the per-node sections, assembles
-    /// the file behind a checksummed header, removes the spill files and
-    /// returns the segment path.
-    pub fn finish(mut self) -> Result<PathBuf, GraphError> {
+    /// Pads out the per-node sections, writes the in-edge sections and
+    /// returns what the sinks assemble behind them.
+    fn seal(&mut self) -> Result<Sealed, GraphError> {
         self.end_pair()?;
         self.end_origin()?;
         self.fill_spans_to(self.num_nodes)?;
@@ -322,43 +407,45 @@ impl SegmentWriter {
             self.out_filled += 1;
         }
 
-        // Transposed (in-edge) adjacency: group pairs by target. Within
-        // a target, ascending pair id *is* ascending source order (pairs
-        // were written sorted by `(origin, target)`), so sorting by
-        // `(target, pair)` yields in-lists sorted by source — the order
-        // the galloping intersection in P1 requires. The chained fnv64
-        // over the exact section bytes goes into its own header word.
-        let transpose = std::mem::take(&mut self.transpose);
+        // Transposed (in-edge) adjacency: a counting sort of the pairs by
+        // target. Filling slots in ascending pair id keeps each in-list
+        // sorted by source (pairs were written sorted by `(origin,
+        // target)`) — the order the galloping intersection in P1
+        // requires. The chained fnv64 over the exact section bytes goes
+        // into its own header word.
+        let in_edges = std::mem::take(&mut self.in_edges);
         let mut in_start = vec![0u32; self.num_nodes + 1];
-        for &(v, _, _) in &transpose {
+        for &(v, _) in &in_edges {
             in_start[v as usize + 1] += 1;
         }
         for i in 0..self.num_nodes {
             in_start[i + 1] += in_start[i];
         }
-        let mut grouped = transpose;
-        grouped.sort_unstable_by_key(|&(v, _, p)| (v, p));
+        let mut next = in_start.clone();
+        let mut in_pairs = vec![0 as PairId; in_edges.len()];
+        let mut in_sources = vec![0 as NodeId; in_edges.len()];
+        for (p, &(v, u)) in in_edges.iter().enumerate() {
+            let slot = &mut next[v as usize];
+            in_pairs[*slot as usize] = p as PairId;
+            in_sources[*slot as usize] = u;
+            *slot += 1;
+        }
         let mut in_checksum = FNV_SEED;
-        for &s in &in_start {
-            let b = s.to_le_bytes();
-            in_checksum = fnv64_acc(in_checksum, &b);
-            self.write(S_IN_START, &b)?;
-        }
-        for &(_, _, p) in &grouped {
-            let b = p.to_le_bytes();
-            in_checksum = fnv64_acc(in_checksum, &b);
-            self.write(S_IN_PAIRS, &b)?;
-        }
-        for &(_, u, _) in &grouped {
-            let b = u.to_le_bytes();
-            in_checksum = fnv64_acc(in_checksum, &b);
-            self.write(S_IN_SOURCES, &b)?;
+        for (section, column) in
+            [(S_IN_START, &in_start), (S_IN_PAIRS, &in_pairs), (S_IN_SOURCES, &in_sources)]
+        {
+            for &x in column {
+                let b = x.to_le_bytes();
+                in_checksum = fnv64_acc(in_checksum, &b);
+                self.write(section, &b)?;
+            }
         }
 
         // Serialize the activity index.
+        let index = std::mem::replace(&mut self.index, IndexBuilder::new(None)).finish();
         let mut index_bytes: Vec<u8> = Vec::new();
-        index_bytes.extend_from_slice(&self.index.bucket_width().to_le_bytes());
-        let buckets: Vec<(i64, &[NodeId])> = self.index.buckets().collect();
+        index_bytes.extend_from_slice(&index.bucket_width().to_le_bytes());
+        let buckets: Vec<(i64, &[NodeId])> = index.buckets().collect();
         index_bytes.extend_from_slice(&(buckets.len() as u64).to_le_bytes());
         for &(key, _) in &buckets {
             index_bytes.extend_from_slice(&key.to_le_bytes());
@@ -375,22 +462,9 @@ impl SegmentWriter {
             }
         }
 
-        // Compute the layout and write the final file.
-        let mut spill: Vec<File> = Vec::with_capacity(NUM_SPILL);
-        for w in self.sections.drain(..) {
-            let mut f = w.into_inner().map_err(|e| GraphError::Io(e.into_error()))?;
-            f.flush()?;
-            spill.push(f);
-        }
-        let mut offsets = [0u64; NUM_SECTIONS];
-        let mut cursor = HEADER_LEN as u64;
-        for (i, f) in spill.iter().enumerate() {
-            offsets[i] = cursor;
-            cursor = align8(cursor + f.metadata()?.len());
-        }
-        offsets[S_INDEX] = cursor;
-        let file_len = cursor + index_bytes.len() as u64;
-
+        let offsets =
+            layout(&section_sizes(self.num_nodes as u64, self.pairs_written, self.events_written));
+        let file_len = offsets[S_INDEX] + index_bytes.len() as u64;
         let (time_lo, time_hi) = self.span.unwrap_or(EMPTY_SPAN);
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC);
@@ -411,14 +485,35 @@ impl SegmentWriter {
         header.extend_from_slice(&file_len.to_le_bytes());
         header.extend_from_slice(&fnv64(&header).to_le_bytes());
         debug_assert_eq!(header.len(), HEADER_LEN);
+        Ok(Sealed { header, index_bytes, offsets })
+    }
 
-        let final_path = self.dir.join(SEGMENT_FILE);
-        let tmp_path = self.dir.join(format!("{SEGMENT_FILE}.tmp"));
+    /// Finalizes the segment: assembles the file behind a checksummed
+    /// header, removes the spill files and returns the segment path.
+    pub fn finish(mut self) -> Result<PathBuf, GraphError> {
+        let Sealed { header, index_bytes, offsets } = self.seal()?;
+        let Sink::Spill { dir, files } = self.sink else {
+            unreachable!("an in-memory writer is sealed by finish_in_memory")
+        };
+        let mut spill: Vec<File> = Vec::with_capacity(NUM_SPILL);
+        for w in files {
+            let mut f = w.into_inner().map_err(|e| GraphError::Io(e.into_error()))?;
+            f.flush()?;
+            spill.push(f);
+        }
+        let final_path = dir.join(SEGMENT_FILE);
+        let tmp_path = dir.join(format!("{SEGMENT_FILE}.tmp"));
         {
             let mut out = BufWriter::new(File::create(&tmp_path)?);
             out.write_all(&header)?;
             let mut written = HEADER_LEN as u64;
             for (i, mut f) in spill.into_iter().enumerate() {
+                if written > offsets[i] {
+                    return Err(GraphError::segment(format!(
+                        "section {} overran its layout",
+                        i - 1
+                    )));
+                }
                 while written < offsets[i] {
                     out.write_all(&[0u8])?;
                     written += 1;
@@ -434,10 +529,27 @@ impl SegmentWriter {
             out.flush()?;
         }
         for i in 0..NUM_SPILL {
-            let _ = std::fs::remove_file(Self::spill_path(&self.dir, i));
+            let _ = std::fs::remove_file(Self::spill_path(&dir, i));
         }
         std::fs::rename(&tmp_path, &final_path)?;
         Ok(final_path)
+    }
+
+    /// Finalizes an in-memory segment and opens it, validated like a
+    /// file.
+    fn finish_in_memory(mut self) -> Result<SegmentStore, GraphError> {
+        let Sealed { header, index_bytes, offsets } = self.seal()?;
+        let Sink::Image { mut words, cursor, end } = self.sink else {
+            unreachable!("a spilling writer is sealed by finish")
+        };
+        assert_eq!(cursor, end, "sections differ from the declared pair and event counts");
+        let at = offsets[S_INDEX] as usize;
+        let len = at + index_bytes.len();
+        words.resize(len.div_ceil(8), 0);
+        let bytes = bytes_of_mut(&mut words);
+        bytes[..HEADER_LEN].copy_from_slice(&header);
+        bytes[at..len].copy_from_slice(&index_bytes);
+        SegmentStore::from_map(Mmap::owned(words, len))
     }
 }
 
@@ -454,6 +566,37 @@ pub fn write_segment(g: &TimeSeriesGraph, dir: &Path) -> Result<PathBuf, GraphEr
         }
     }
     w.finish()
+}
+
+// ---------------------------------------------------------------------
+// In-memory build
+// ---------------------------------------------------------------------
+
+/// One edge-list record.
+type Record = (NodeId, NodeId, Timestamp, Flow);
+
+/// Sorts records into the builder's order — by origin, target and time,
+/// input order breaking ties — with a counting sort by origin followed
+/// by a stable sort of each origin's run.
+fn sort_records(records: Vec<Record>, num_nodes: usize) -> Vec<Record> {
+    let mut start = vec![0usize; num_nodes + 1];
+    for r in &records {
+        start[r.0 as usize + 1] += 1;
+    }
+    for i in 0..num_nodes {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut sorted = vec![(0, 0, 0, 0.0); records.len()];
+    for r in records {
+        let slot = &mut next[r.0 as usize];
+        sorted[*slot] = r;
+        *slot += 1;
+    }
+    for run in start.windows(2) {
+        sorted[run[0]..run[1]].sort_by_key(|&(_, v, t, _)| (v, t));
+    }
+    sorted
 }
 
 // ---------------------------------------------------------------------
@@ -519,12 +662,7 @@ pub fn pack_edge_list(
     let result = (|| -> Result<(), GraphError> {
         for rec in EdgeListRecords::new(file) {
             let (u, v, t, f) = rec?;
-            if !(f.is_finite() && f > 0.0) {
-                return Err(GraphError::InvalidFlow { flow: f, from: u as u64, to: v as u64 });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop(u as u64));
-            }
+            check_interaction(u, v, f, false)?;
             num_nodes = num_nodes.max(u.max(v) as usize + 1);
             span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
             buf.push((RunRecord { u, v, t, seq }, f));
@@ -639,13 +777,16 @@ impl RunReader {
 // Store
 // ---------------------------------------------------------------------
 
-/// A read-only [`GraphStore`] over a memory-mapped segment file.
+/// A read-only [`GraphStore`] over a segment: a memory-mapped segment
+/// file, or an image built in memory by
+/// [`SegmentStore::from_edge_list`].
 ///
 /// Opening validates the header (magic, version, checksum, declared vs
 /// actual file length, section bounds and alignment) and deserializes
-/// the small activity index; everything else is viewed in place, so
-/// resident memory stays O(index) no matter how large the graph is and
-/// the OS pages event data in and out on demand. Accessors bound-check
+/// the small activity index; everything else is viewed in place, so a
+/// mapped store's resident memory stays O(index) no matter how large the
+/// graph is and the OS pages event data in and out on demand (a built
+/// image is resident as a whole). Accessors bound-check
 /// every slice they cut, so a corrupt body found past the O(1) header
 /// validation panics rather than reading out of bounds.
 #[derive(Debug)]
@@ -673,8 +814,43 @@ impl SegmentStore {
     }
 
     fn open_file(path: &Path) -> Result<Self, GraphError> {
-        let file = File::open(path)?;
-        let map = Mmap::map(&file)?;
+        Self::from_map(Mmap::map(&File::open(path)?)?)
+    }
+
+    /// Builds a segment from a whitespace/comma-separated `from to time
+    /// flow` edge list entirely in memory and opens it: the image is
+    /// byte-identical to the `graph.seg` [`pack_edge_list`] writes for
+    /// the same input, but no file is written or mapped. Records are
+    /// validated as [`crate::GraphBuilder`] validates them, in input
+    /// order, and sorted with a counting sort by origin; peak memory is
+    /// about two copies of the records plus the image.
+    pub fn from_edge_list<R: Read>(reader: R) -> Result<Self, GraphError> {
+        let mut records: Vec<Record> = Vec::new();
+        let mut num_nodes = 0usize;
+        let mut span: Option<(Timestamp, Timestamp)> = None;
+        for rec in EdgeListRecords::new(reader) {
+            let (u, v, t, f) = rec?;
+            check_interaction(u, v, f, false)?;
+            num_nodes = num_nodes.max(u.max(v) as usize + 1);
+            span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
+            records.push((u, v, t, f));
+        }
+        let records = sort_records(records, num_nodes);
+        let num_pairs = records.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).count();
+        let mut w = SegmentWriter::in_memory(num_nodes, num_pairs, records.len(), span)?;
+        for pair in records.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            w.begin_pair(pair[0].0, pair[0].1)?;
+            for &(_, _, t, f) in pair {
+                w.push_event(t, f)?;
+            }
+        }
+        drop(records);
+        w.finish_in_memory()
+    }
+
+    /// Validates a segment image (a mapped file or one built in memory)
+    /// and opens it.
+    fn from_map(map: Mmap) -> Result<Self, GraphError> {
         let bytes = map.bytes();
         if bytes.len() < HEADER_LEN {
             return Err(GraphError::segment(format!(
@@ -709,22 +885,11 @@ impl SegmentStore {
         let time_hi = word(5) as i64;
 
         let mut offsets = [0usize; NUM_SECTIONS];
-        let sizes: [u64; NUM_SECTIONS] = [
-            4 * (num_nodes as u64 + 1),                 // out_start
-            4 * num_pairs as u64,                       // targets
-            4 * num_pairs as u64,                       // origins
-            8 * (num_pairs as u64 + 1),                 // event_start
-            16 * num_nodes as u64,                      // origin_span
-            16 * num_events as u64,                     // events
-            8 * (num_events as u64 + num_pairs as u64), // prefix
-            4 * (num_nodes as u64 + 1),                 // in_start
-            4 * num_pairs as u64,                       // in_pairs
-            4 * num_pairs as u64,                       // in_sources
-            0,                                          // index (rest of file)
-        ];
-        for i in 0..NUM_SECTIONS {
+        let sizes = section_sizes(num_nodes as u64, num_pairs as u64, num_events as u64);
+        for (i, offset) in offsets.iter_mut().enumerate() {
             let off = word(6 + i);
-            let size = if i == S_INDEX { file_len.saturating_sub(off) } else { sizes[i] };
+            // The index runs to the end of the file.
+            let size = sizes.get(i).copied().unwrap_or(file_len.saturating_sub(off));
             if off % 8 != 0
                 || off < HEADER_LEN as u64
                 || off.checked_add(size).is_none_or(|end| end > file_len)
@@ -733,7 +898,7 @@ impl SegmentStore {
                     "section {i} out of bounds (offset {off}, size {size}, file {file_len})"
                 )));
             }
-            offsets[i] = off as usize;
+            *offset = off as usize;
         }
 
         // The in-adjacency is *derived* data: a divergence from the
@@ -921,7 +1086,13 @@ impl SegmentStore {
         bytes.len() as u64
     }
 
-    /// Bytes of this store's memory-mapped segment file.
+    /// The segment's bytes: the mapped file, or the image built in
+    /// memory — byte for byte what `pack` writes to `graph.seg`.
+    pub fn image(&self) -> &[u8] {
+        self.map.bytes()
+    }
+
+    /// Bytes of this store's segment image, mapped or built in memory.
     pub fn mapped_bytes(&self) -> u64 {
         self.map.len() as u64
     }

@@ -6,7 +6,7 @@
 //! node are a contiguous slice and `pair_id(u, v)` is a binary search within
 //! that slice.
 
-use crate::active::ActiveOriginIndex;
+use crate::active::{ActiveOriginIndex, IndexBuilder};
 use crate::event::{Event, NodeId, PairId, Timestamp};
 use crate::series::InteractionSeries;
 use crate::window::TimeWindow;
@@ -209,16 +209,14 @@ impl TimeSeriesGraph {
     fn rebuild_activity(&mut self) {
         self.origin_span = vec![EMPTY_SPAN; self.num_nodes];
         self.recompute_origin_spans();
-        let mut index = ActiveOriginIndex::new();
-        if let Some((lo, hi)) = self.time_span() {
-            index.preset_span(lo, hi);
-        }
-        for (p, s) in self.series.iter().enumerate() {
-            if !s.is_empty() {
-                record_series(&mut index, self.pairs[p].0, s.events());
+        // Pairs are sorted by origin, as the bulk builder needs.
+        let mut index = IndexBuilder::new(self.time_span());
+        for (&(u, _), s) in self.pairs.iter().zip(&self.series) {
+            for e in s.events() {
+                index.note(u, e.time);
             }
         }
-        self.index = index;
+        self.index = index.finish();
     }
 
     #[inline]

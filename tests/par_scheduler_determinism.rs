@@ -9,8 +9,8 @@
 mod common;
 
 use flowmotif::core::parallel::{
-    par_count_instances_in_window, par_enumerate_all_with, par_enumerate_window, par_top_k_with,
-    scheduler_makespan, ParOptions,
+    par_count_and_sample_with, par_count_instances_in_window, par_enumerate_all_with,
+    par_enumerate_window, par_top_k_with, scheduler_makespan, ParOptions,
 };
 use flowmotif::prelude::*;
 use flowmotif_graph::{GraphBuilder, TimeSeriesGraph, TimeWindow};
@@ -113,18 +113,49 @@ fn bounded_scan_is_identical_across_schedules_indexed_and_unindexed() {
     }
 }
 
+/// Not just the flows: the ranked instances themselves, in order. Flows
+/// here are small integers, so ties straddle rank `k` for most `k`, and
+/// only the total ranking order keeps the set and the order of the tied
+/// instances independent of the schedule.
 #[test]
 fn top_k_flows_are_identical_across_schedules() {
     let g = hub_heavy_graph(60, 120, 0xD7);
     let motif = catalog::by_name("M(3,2)", 50, 0.0).unwrap();
+    let (all, _) = enumerate_all(&g, &motif);
+    let mut flows: Vec<f64> = all.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).collect();
+    flows.sort_by(|a, b| b.total_cmp(a));
+    let ties = [1usize, 5, 25].iter().filter(|&&k| flows.get(k) == flows.get(k - 1)).count();
+    assert!(ties > 0, "no tie straddles any tested k; the test would prove nothing");
     for k in [1usize, 5, 25] {
-        let (seq, _) = top_k(&g, &motif, k);
-        let want: Vec<f64> = seq.iter().map(|r| r.instance.flow).collect();
+        let (want, _) = top_k(&g, &motif, k);
         for threads in [1usize, 2, 8] {
             for par in scheduler_grid(threads) {
                 let (ranked, _) = par_top_k_with(&g, &motif, k, SearchOptions::default(), par);
-                let got: Vec<f64> = ranked.iter().map(|r| r.instance.flow).collect();
-                assert_eq!(got, want, "k={k} {par:?}");
+                assert_eq!(ranked, want, "k={k} {par:?}");
+            }
+        }
+    }
+}
+
+/// `find --show N` prints this sample: the count of every instance plus
+/// the first `N` in scan order, which must not depend on the thread
+/// count or the task granularity.
+#[test]
+fn count_and_sample_are_identical_across_schedules() {
+    let g = hub_heavy_graph(60, 120, 0xD9);
+    let motif = catalog::by_name("M(3,2)", 50, 2.0).unwrap();
+    let (groups, seq_stats) = enumerate_all(&g, &motif);
+    let scan_order: Vec<(StructuralMatch, MotifInstance)> =
+        groups.iter().flat_map(|(sm, v)| v.iter().map(move |i| (sm.clone(), i.clone()))).collect();
+    for show in [0usize, 1, 7, scan_order.len() + 3] {
+        let want = &scan_order[..show.min(scan_order.len())];
+        for threads in [1usize, 2, 8] {
+            for par in scheduler_grid(threads) {
+                let (count, sample, stats) =
+                    par_count_and_sample_with(&g, &motif, show, SearchOptions::default(), par);
+                assert_eq!(count as usize, scan_order.len(), "show={show} {par:?}");
+                assert_eq!(sample, want, "show={show} {par:?}");
+                assert_eq!(stats, seq_stats, "show={show} {par:?}");
             }
         }
     }

@@ -20,9 +20,13 @@ fn sorted_flows_desc(g: &TimeSeriesGraph, motif: &Motif) -> Vec<f64> {
     flows
 }
 
-/// top-k flows == the first k flows of the sorted full enumeration.
+/// top-k == the first k instances of the full enumeration sorted in the
+/// ranking order (flow descending, ties by edge sets): the same flows,
+/// and among tied flows the same instances — also when a smaller-keyed
+/// tie is found after the heap has filled.
 #[test]
 fn top_k_is_head_of_sorted_enumeration() {
+    use flowmotif::core::topk::rank_order;
     for case in 0..CASES {
         let mut rng = case_rng(0x11, case);
         let g = random_graph(&mut rng, 8, 40);
@@ -30,10 +34,15 @@ fn top_k_is_head_of_sorted_enumeration() {
         let delta = rng.random_range(1i64..50);
         let k = rng.random_range(1usize..12);
         let motif = catalog::by_name(name, delta, 0.0).unwrap();
-        let all = sorted_flows_desc(&g, &motif);
+        let (groups, _) = enumerate_all(&g, &motif);
+        let mut all: Vec<(StructuralMatch, MotifInstance)> = groups
+            .into_iter()
+            .flat_map(|(sm, v)| v.into_iter().map(move |i| (sm.clone(), i)))
+            .collect();
+        all.sort_by(|a, b| rank_order(&a.1, &b.1));
         let (ranked, _) = top_k(&g, &motif, k);
-        let got: Vec<f64> = ranked.iter().map(|r| r.instance.flow).collect();
-        let want: Vec<f64> = all.iter().copied().take(k).collect();
+        let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
+        let want: Vec<_> = all.into_iter().take(k).collect();
         assert_eq!(got, want, "case {case}: {name} δ={delta} k={k}");
     }
 }
