@@ -87,8 +87,8 @@ stage_out_of_core() {
   # dataset, compile it into a packed segment (forcing a multi-run
   # external sort with a tiny sort buffer), and require the mapped
   # `--packed` search to produce byte-identical output to the search of
-  # the edge list (built into an in-memory segment) for both the
-  # enumeration and top-k pipelines — also at `--threads 2`, where the
+  # the edge list (built into an in-memory segment) for the enumeration,
+  # top-k and top-1 pipelines — also at `--threads 2`, where the
   # `find` sample and the top-k tie order must not depend on the
   # schedule. The edge-list parser's differential loop then runs with a
   # larger budget than the test stage gives it. The memory
@@ -118,6 +118,23 @@ stage_out_of_core() {
   "${_fm}" topk "${_dir}/seg" --packed --motif "M(3,2)" --delta 3600 --k 10 --threads 2 \
     >"${_dir}/topk2-packed.txt"
   cmp "${_dir}/topk2-mem.txt" "${_dir}/topk2-packed.txt"
+  # The ranking searches run as cutoff passes under a phase-P1 pair-flow
+  # floor: top-1 (flow and witness) must not depend on the backend,
+  # top-k not on the thread count, and top-k at k = 1 must agree with
+  # the DP's top-1 flow.
+  "${_fm}" top1 "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 >"${_dir}/top1-mem.txt"
+  "${_fm}" top1 "${_dir}/seg" --packed --motif "M(3,2)" --delta 3600 >"${_dir}/top1-packed.txt"
+  cmp "${_dir}/top1-mem.txt" "${_dir}/top1-packed.txt"
+  "${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 10 --threads 1 \
+    >"${_dir}/topk1-mem.txt"
+  cmp "${_dir}/topk1-mem.txt" "${_dir}/topk2-mem.txt"
+  _k1=$("${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 1 |
+    awk '$1 == "#1" { print $3 }')
+  _top1=$(awk '$1 == "top-1" { print $3 }' "${_dir}/top1-mem.txt")
+  if [ -z "${_k1}" ] || [ "${_k1}" != "${_top1}" ]; then
+    echo "topk --k 1 flow '${_k1}' differs from top1 flow '${_top1}'"
+    exit 1
+  fi
   FLOWMOTIF_PARSE_FUZZ_ITERS=200000 cargo test -q --release --offline -p flowmotif-graph \
     byte_parser_agrees_with_the_text_parser
 }

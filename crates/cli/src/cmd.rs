@@ -92,7 +92,9 @@ fn traced_options(cli: &Cli, trace: Option<&'static AtomicTrace>) -> SearchOptio
 /// graph load (parse, sort and segment build, or the open of a packed
 /// segment), the search's wall-clock time, each stage's time and work
 /// count, then per-worker task/busy figures when the search ran on more
-/// than one worker.
+/// than one worker, then one line per cutoff pass of a ranking search
+/// (`topk`/`top1`): its pair-flow floor, the pairs that floor admits and
+/// the results the pass found.
 fn write_profile<W: Write>(
     out: &mut W,
     trace: Option<&'static AtomicTrace>,
@@ -124,6 +126,14 @@ fn write_profile<W: Write>(
             )
             .ok();
         }
+    }
+    for (i, pass) in trace.passes().iter().enumerate() {
+        writeln!(
+            out,
+            "profile: pass {i} cutoff {:.3} pairs {} instances {}",
+            pass.cutoff, pass.pairs, pass.instances
+        )
+        .ok();
     }
 }
 
@@ -1092,6 +1102,27 @@ stats
         let (without, _) = run_args(&["find", f.to_str()]);
         assert!(!without.contains("profile:"), "{without}");
         assert_eq!(with_flag.split("profile:").next().unwrap(), without);
+    }
+
+    #[test]
+    fn profile_lists_the_cutoff_passes_after_the_results() {
+        let f = TempFile(unique_path("fb"));
+        let gen = ["generate", "--dataset", "facebook", "--scale", "0.5", "--out", f.to_str()];
+        run_args(&gen).1.unwrap();
+        for cmd in ["topk", "top1"] {
+            let (out, r) = run_args(&[cmd, f.to_str(), "--k", "1", "--profile", "--threads", "2"]);
+            r.unwrap();
+            let (plain, _) = run_args(&[cmd, f.to_str(), "--k", "1", "--threads", "2"]);
+            assert_eq!(out.split("profile:").next().unwrap(), plain, "{out}");
+            let passes: Vec<&str> =
+                out.lines().filter(|l| l.starts_with("profile: pass")).collect();
+            assert!(passes[0].starts_with("profile: pass 0 cutoff "), "{out}");
+            let cutoff: f64 = passes[0].split(' ').nth(4).unwrap().parse().unwrap();
+            assert!(cutoff.is_finite() && cutoff > 0.0, "a finite first cutoff: {out}");
+            assert!(out.trim_end().ends_with(passes[passes.len() - 1]), "passes come last: {out}");
+        }
+        let (out, _) = run_args(&["find", f.to_str(), "--profile"]);
+        assert!(!out.contains("profile: pass"), "find runs no cutoff passes: {out}");
     }
 
     #[test]

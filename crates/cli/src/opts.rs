@@ -16,10 +16,16 @@ COMMANDS:
   stats <file>            dataset statistics of an edge list (from to time flow)
   find <file>             count maximal motif instances and print the first
                           --show of them in scan order (alias: search)
-  topk <file>             k highest-flow instances (ϕ is ignored, per §5);
-                          equal flows are ranked by the instances' edge
-                          sets (pair ids, then element ranges)
-  top1 <file>             maximum-flow instance via the DP module (§5.1)
+  topk <file>             k highest-flow instances (§5; a --phi above 0
+                          stays a lower bound); equal flows are ranked by
+                          the instances' edge sets (pair ids, then element
+                          ranges). Runs as cutoff passes: P1 binds only
+                          pairs heavy enough to carry a top-k instance,
+                          seeded from the heaviest pairs; the result is
+                          exactly that of a search over every pair
+  top1 <file>             maximum-flow instance via the DP module (§5.1),
+                          run as the same cutoff passes with k = 1; its
+                          match and DP-window counts sum over the passes
   pack <file>             compile an edge list into a packed segment
                           directory (out-of-core backend; see --packed)
   significance <file>     z-score vs flow-permuted replicas (§6.3)
@@ -61,7 +67,10 @@ OPTIONS (find/topk/top1/significance):
                           parse and the sort
   --profile               print a per-stage breakdown (graph load, P1
                           match scan, P2 enumeration, DP solve, per-worker
-                          load) after the results (find/search, topk, top1)
+                          load) after the results (find/search, topk, top1),
+                          then one `profile: pass` line per cutoff pass of
+                          topk/top1 (its pair-flow floor, the pairs it
+                          admits, the results it found)
   --extension-order <ord> how P1 picks the motif edge extending each
                           prefix: cardinality (worst-case-optimal) or
                           fixed (the paper's walk order, for A/B runs);

@@ -19,7 +19,11 @@
 //! found by full enumeration — extending an instance never decreases its
 //! flow, so the maximum over all instances is attained at a maximal one.
 //! The reconstructed witness instance, however, need not be maximal.
+//!
+//! [`dp_top1_with`] runs as [`crate::cutoff`] passes: phase P1 binds only
+//! pairs heavy enough to carry the best flow.
 
+use crate::cutoff::{cutoff_passes, PassOutcome};
 use crate::enumerate::SearchOptions;
 use crate::instance::{EdgeSet, MotifInstance, StructuralMatch};
 use crate::motif::Motif;
@@ -38,6 +42,16 @@ pub struct DpStats {
     pub windows_skipped: u64,
     /// Total `Flow([t1,ti],κ)` cells computed.
     pub cells_computed: u64,
+}
+
+impl DpStats {
+    /// Adds another run's counters (the cutoff passes of one search).
+    pub fn merge(&mut self, o: &DpStats) {
+        self.structural_matches += o.structural_matches;
+        self.windows_processed += o.windows_processed;
+        self.windows_skipped += o.windows_skipped;
+        self.cells_computed += o.cells_computed;
+    }
 }
 
 /// The DP table of one window — exposed for the paper's Table 2 example
@@ -342,13 +356,53 @@ pub fn dp_top1_scratch<G: GraphStore>(
 /// [`dp_top1_scratch`] honouring [`SearchOptions`]: the phase P1 walk
 /// follows `use_active_index`, and when a [`crate::trace::TraceSink`] is
 /// attached the run reports P1 time (walk minus DP), DP time and the
-/// windows-solved count to it. `None` trace costs one branch per match.
+/// windows-solved count to it, plus each cutoff pass. `None` trace costs
+/// one branch per match.
+///
+/// The search runs as [`crate::cutoff`] passes with `k = 1`. The winner
+/// is the first match in P1 order, and its first window, that reaches
+/// the best flow; a pass's floor removes only matches that cannot reach
+/// it, so the flow and the witness are those of a single search without
+/// a floor. The stats sum over the passes.
 pub fn dp_top1_with<G: GraphStore>(
     g: &G,
     motif: &Motif,
     opts: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
+    let mut stats = DpStats::default();
+    let mut best = None;
+    // Flows are positive and the DP reports only flows above 0, so a
+    // floor at 0 skips nothing.
+    cutoff_passes(g, 1, 0.0, opts.trace, |floor| {
+        best = dp_pass(g, motif, opts, floor, scratch, &mut stats);
+        PassOutcome {
+            found: usize::from(best.is_some()),
+            kth_flow: best.as_ref().map_or(Flow::NEG_INFINITY, |&(f, _, _)| f),
+        }
+    });
+    match best {
+        None => (None, stats),
+        Some((flow, sm, window)) => {
+            let series: Vec<SeriesRef<'_>> = sm.pairs.iter().map(|&p| g.series(p)).collect();
+            let table = dp_table(&series, window, &mut stats);
+            let inst = reconstruct(&series, &sm, window, &table, flow);
+            (Some((sm, inst)), stats)
+        }
+    }
+}
+
+/// One DP pass with phase P1 under the pair-flow floor `floor`: the best
+/// flow over the admitted matches, the first match and window reaching
+/// it, with its counters added to `stats`.
+fn dp_pass<G: GraphStore>(
+    g: &G,
+    motif: &Motif,
+    opts: SearchOptions,
+    floor: Flow,
+    scratch: &mut SearchScratch,
+    total: &mut DpStats,
+) -> Option<(Flow, StructuralMatch, TimeWindow)> {
     let mut stats = DpStats::default();
     let SearchScratch { p1, dp, .. } = scratch;
     let start = opts.trace.map(|_| std::time::Instant::now());
@@ -358,7 +412,8 @@ pub fn dp_top1_with<G: GraphStore>(
     // the driver runs untraced.
     let driver = crate::matcher::P1Driver::new(motif.path())
         .use_index(opts.use_active_index)
-        .extension_order(opts.extension_order);
+        .extension_order(opts.extension_order)
+        .flow_floor(floor);
     driver.run(g, p1, &mut |sm| {
         stats.structural_matches += 1;
         let thr = best.as_ref().map_or(0.0, |&(f, _, _)| f);
@@ -388,15 +443,8 @@ pub fn dp_top1_with<G: GraphStore>(
         trace.record(TraceStage::P1, total.saturating_sub(dp_nanos), stats.structural_matches);
         trace.record(TraceStage::Dp, dp_nanos, stats.windows_processed);
     }
-    match best {
-        None => (None, stats),
-        Some((flow, sm, window)) => {
-            let series: Vec<SeriesRef<'_>> = sm.pairs.iter().map(|&p| g.series(p)).collect();
-            let table = dp_table(&series, window, &mut stats);
-            let inst = reconstruct(&series, &sm, window, &table, flow);
-            (Some((sm, inst)), stats)
-        }
-    }
+    total.merge(&stats);
+    best
 }
 
 /// Convenience: just the maximum instance flow in the graph (`0.0` when no

@@ -369,7 +369,7 @@ pub struct EnumerationScratch {
 
 /// The unbounded search window: every timestamp is admissible. Searching
 /// with these bounds is exactly the paper's Algorithm 1.
-const UNBOUNDED: TimeWindow = TimeWindow { start: Timestamp::MIN, end: Timestamp::MAX };
+pub(crate) const UNBOUNDED: TimeWindow = TimeWindow { start: Timestamp::MIN, end: Timestamp::MAX };
 
 /// Enumerates all maximal instances of `motif` inside the single
 /// structural match `sm`, delivering them to `sink`. Generic over the
@@ -685,6 +685,21 @@ pub fn enumerate_window_with_sink_scratch<G: GraphStore, S: InstanceSink>(
     sink: &mut S,
     scratch: &mut SearchScratch,
 ) -> SearchStats {
+    enumerate_floored(g, motif, bounds, Flow::NEG_INFINITY, opts, sink, scratch)
+}
+
+/// [`enumerate_window_with_sink_scratch`] with phase P1 under the
+/// pair-flow floor `floor` ([`P1Driver::flow_floor`]): the instances of
+/// the matches whose pairs all reach the floor, in the same order.
+pub(crate) fn enumerate_floored<G: GraphStore, S: InstanceSink>(
+    g: &G,
+    motif: &Motif,
+    bounds: TimeWindow,
+    floor: Flow,
+    opts: SearchOptions,
+    sink: &mut S,
+    scratch: &mut SearchScratch,
+) -> SearchStats {
     let mut stats = SearchStats::default();
     // Split the arena: phase P1 walks out of `p1` while each match's
     // phase P2 runs out of `p2`.
@@ -704,7 +719,8 @@ pub fn enumerate_window_with_sink_scratch<G: GraphStore, S: InstanceSink>(
     let driver = P1Driver::new(motif.path())
         .bounds(bounds)
         .use_index(opts.use_active_index)
-        .extension_order(opts.extension_order);
+        .extension_order(opts.extension_order)
+        .flow_floor(floor);
     driver.run(g, p1, &mut |sm| {
         stats.structural_matches += 1;
         if opts.trace.is_some() && (stats.structural_matches - 1) % P2_SAMPLE_EVERY == 0 {

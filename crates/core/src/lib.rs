@@ -43,6 +43,7 @@
 pub mod analytics;
 pub mod catalog;
 pub mod census;
+pub mod cutoff;
 pub mod dag;
 pub mod delta;
 pub mod dp;
@@ -75,7 +76,7 @@ pub use matcher::{
 pub use motif::{Motif, MotifNode, SpanningPath};
 pub use scratch::SearchScratch;
 pub use shared::{count_instances_shared, enumerate_shared_with_sink};
-pub use trace::{AtomicTrace, TraceSink, TraceStage};
+pub use trace::{AtomicTrace, PassRecord, TraceSink, TraceStage};
 
 // The search entry points are used from multi-threaded servers
 // (snapshot reads in `flowmotif-serve`): everything a query needs to

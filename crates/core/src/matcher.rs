@@ -57,12 +57,25 @@
 //! (`out_target_at`/`in_source_at`), never the event payloads. The same
 //! table drives backward plan steps, whose primary list is the bound
 //! target's in-sources.
+//!
+//! # Pair-flow floor
+//!
+//! An instance's flow is the minimum of its edge-set flows, and each
+//! edge set is a run of the in-bounds elements of its pair, so no
+//! instance can out-flow any of its pairs' in-bounds flow. A driver with
+//! a *floor* ([`crate::cutoff`] sets one for the ranking searches) binds
+//! a pair only if its in-bounds flow reaches the floor, at every bind
+//! site: the forward and backward DFS loops, the worst-case-optimal
+//! bind, the revisit check and the pair-anchored seed. The floor removes
+//! exactly the matches holding a pair below it and keeps the order of
+//! the rest. The default floor, `-∞`, costs one predictable branch per
+//! bind.
 
 use crate::gallop::gallop_seek_by;
 use crate::instance::StructuralMatch;
 use crate::motif::SpanningPath;
 use crate::trace::{TraceSink, TraceStage};
-use flowmotif_graph::{GraphStore, NodeId, PairId, TimeWindow};
+use flowmotif_graph::{Flow, GraphStore, NodeId, PairId, SeriesRef, TimeWindow};
 
 /// Strategy for choosing which motif edge extends each P1 prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -279,6 +292,9 @@ pub struct P1Driver<'a> {
     use_index: bool,
     order: ExtensionOrder,
     trace: Option<&'static dyn TraceSink>,
+    /// The pair-flow floor (see the module docs); `-∞` admits every
+    /// active pair.
+    floor: Flow,
 }
 
 impl std::fmt::Debug for P1Driver<'_> {
@@ -289,6 +305,7 @@ impl std::fmt::Debug for P1Driver<'_> {
             .field("use_index", &self.use_index)
             .field("order", &self.order)
             .field("trace", &self.trace.is_some())
+            .field("floor", &self.floor)
             .finish_non_exhaustive()
     }
 }
@@ -304,6 +321,7 @@ impl<'a> P1Driver<'a> {
             use_index: true,
             order: ExtensionOrder::default(),
             trace: None,
+            floor: Flow::NEG_INFINITY,
         }
     }
 
@@ -376,6 +394,14 @@ impl<'a> P1Driver<'a> {
         self
     }
 
+    /// Binds only pairs whose flow inside the bounds reaches `floor`
+    /// (see the module docs): the matches of the run without a floor
+    /// that hold no pair below it, in the same order.
+    pub(crate) fn flow_floor(mut self, floor: Flow) -> Self {
+        self.floor = floor;
+        self
+    }
+
     /// Streams every selected structural match to `visit` out of
     /// caller-provided scratch — the allocation-free form every
     /// steady-state caller (sequential, parallel, streaming) uses.
@@ -437,7 +463,7 @@ impl<'a> P1Driver<'a> {
             let Some(p) = g.pair_id(u, v) else {
                 return;
             };
-            if !pair_active(g, p, bounded.then_some(bounds)) {
+            if !admits(g, p, bounded.then_some(bounds), self.floor) {
                 return;
             }
             for j in 0..self.path.num_edges() {
@@ -448,6 +474,7 @@ impl<'a> P1Driver<'a> {
                     g,
                     plan,
                     bounds: bounded.then_some(bounds),
+                    floor: self.floor,
                     prune_spans: self.use_index,
                     first_pairs: None,
                     order: self.order,
@@ -473,6 +500,7 @@ impl<'a> P1Driver<'a> {
             g,
             plan,
             bounds: bounded.then_some(bounds),
+            floor: self.floor,
             prune_spans: self.use_index,
             first_pairs: None,
             order: self.order,
@@ -551,12 +579,60 @@ fn pair_active<S: GraphStore>(g: &S, p: PairId, bounds: Option<TimeWindow>) -> b
     }
 }
 
+/// Whether series `s` may carry an edge set of flow `floor` or more
+/// inside `bounds` (`None` = unbounded).
+///
+/// P2 sums an edge set element by element from its first element (its
+/// last edge, and the DP, take a prefix-sum difference instead); the
+/// floor reads the pair's prefix sums. The two are compared as follows:
+///
+/// - **Unbounded: proved to agree, compared exactly.** The prefix sums
+///   are accumulated sequentially from `0.0` over positive flows, and
+///   rounding is monotone, so a running sum over elements `s..e`
+///   started at `0 ≤ prefix[s]` stays `≤ prefix[e] ≤ prefix[len]`
+///   element by element, and `prefix[e] − prefix[s] ≤ prefix[len] − 0`.
+///   No edge set of the pair sums above `total_flow()`.
+/// - **Bounded: compared with a margin.** The bound `prefix[b] −
+///   prefix[a]` subtracts a prefix that carries the rounding of every
+///   element before the window, and can come out a few ulps below a
+///   running sum over the window; see [`flow_slack`].
+#[inline]
+fn reaches_floor(s: SeriesRef<'_>, bounds: Option<TimeWindow>, floor: Flow) -> bool {
+    match bounds {
+        None => s.total_flow() >= floor,
+        Some(w) => s.flow_in_closed(w.start, w.end) + flow_slack(s.len(), s.total_flow()) >= floor,
+    }
+}
+
+/// The flow by which a pair's in-window prefix-sum difference may fall
+/// short of a sum P2 accumulates over some of its in-window elements,
+/// for a series of `len` elements and total `total`. For `n` positive
+/// elements of exact total `T`, each prefix sum and each running sum is
+/// off by at most `(n − 1)·u·T` (`u` = unit roundoff = `ε/2`), and the
+/// difference adds one rounding of at most `u·T`, so the two differ by
+/// at most `(3n − 1)·u·T`. The margin, `4·(n + 2)·ε·total` =
+/// `8·(n + 2)·u·total`, covers that with room for second-order terms.
+#[inline]
+fn flow_slack(len: usize, total: Flow) -> Flow {
+    4.0 * (len as Flow + 2.0) * f64::EPSILON * total
+}
+
+/// Whether pair `p` may bind: it is active inside `bounds` and, under a
+/// floor above `-∞`, [`reaches_floor`].
+#[inline]
+fn admits<S: GraphStore>(g: &S, p: PairId, bounds: Option<TimeWindow>, floor: Flow) -> bool {
+    pair_active(g, p, bounds)
+        && (floor == Flow::NEG_INFINITY || reaches_floor(g.series(p), bounds, floor))
+}
+
 /// Immutable per-enumeration state shared by every DFS frame.
 struct DfsCtx<'a, S> {
     g: &'a S,
     /// The scratch-owned binding plan (see [`MatchScratch`]).
     plan: &'a [Step],
     bounds: Option<TimeWindow>,
+    /// The driver's pair-flow floor.
+    floor: Flow,
     /// Consult the per-origin active intervals before iterating a node's
     /// out-pairs (on for the indexed path, off for the A/B baseline).
     prune_spans: bool,
@@ -614,7 +690,7 @@ fn dfs<S, F>(
         let other = sm.nodes[st.other as usize];
         let (u, v) = if st.forward { (bound, other) } else { (other, bound) };
         if let Some(p) = g.pair_id(u, v) {
-            if !pair_active(g, p, bounds) {
+            if !admits(g, p, bounds, ctx.floor) {
                 return;
             }
             sm.pairs[st.edge as usize] = p;
@@ -644,7 +720,7 @@ fn dfs<S, F>(
         }
         for i in first_pairs.unwrap_or(0..g.out_degree(bound)) {
             let p = g.out_pair_at(bound, i);
-            if pair_active(g, p, bounds) {
+            if admits(g, p, bounds, ctx.floor) {
                 let v = g.out_target_at(bound, i);
                 bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
             }
@@ -658,7 +734,7 @@ fn dfs<S, F>(
         }
         for i in 0..g.in_degree(bound) {
             let p = g.in_pair_at(bound, i);
-            if pair_active(g, p, bounds) {
+            if admits(g, p, bounds, ctx.floor) {
                 let v = g.in_source_at(bound, i);
                 bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
             }
@@ -760,7 +836,7 @@ fn wco_extend<S, F>(
         }
         let p =
             if st.forward { g.out_pair_at(bound, prim_idx) } else { g.in_pair_at(bound, prim_idx) };
-        if pair_active(g, p, ctx.bounds) {
+        if admits(g, p, ctx.bounds, ctx.floor) {
             bind(ctx, step, st, p, v, sm, assigned, cursors, visit);
         }
     }
@@ -1031,6 +1107,72 @@ mod tests {
                 P1Driver::new(path).bounds(w).origins(2..3).collect(&g),
             );
         }
+    }
+
+    #[test]
+    fn flow_floor_keeps_exactly_the_matches_whose_pairs_reach_it() {
+        // At every bind site (forward and backward loops, the WCO bind,
+        // the revisit check, the pair-anchored seed) the floor drops a
+        // match iff one of its pairs falls below it, keeping the order.
+        // Fig. 5's flows are small integers, so in-window flows are
+        // exact and several floors equal a pair's flow.
+        let g = fig5();
+        for name in ["M(3,2)", "M(3,3)", "M(4,3)", "M(5,5)A"] {
+            let motif = catalog::by_name(name, 10, 0.0).unwrap();
+            for w in [TimeWindow::new(i64::MIN, i64::MAX), TimeWindow::new(10, 23)] {
+                for floor in [f64::NEG_INFINITY, 0.0, 5.0, 9.0, 12.0, 20.0, 100.0] {
+                    let heavy = |p: PairId| {
+                        GraphStore::series(&g, p).flow_in_closed(w.start, w.end) >= floor
+                    };
+                    for order in [ExtensionOrder::Fixed, ExtensionOrder::Cardinality] {
+                        let base = P1Driver::new(motif.path()).bounds(w).extension_order(order);
+                        let want: Vec<_> = base
+                            .collect(&g)
+                            .into_iter()
+                            .filter(|m| m.pairs.iter().all(|&p| heavy(p)))
+                            .collect();
+                        let floored = base.clone().flow_floor(floor);
+                        assert_eq!(floored.collect(&g), want, "{name} {w:?} floor={floor}");
+                        for &(u, v) in g.pairs() {
+                            let p = g.pair_id(u, v).unwrap();
+                            let through = floored.clone().through_pair(u, v).count(&g);
+                            let uses = want.iter().filter(|m| m.pairs.contains(&p)).count();
+                            assert_eq!(through, uses as u64, "{name} {w:?} floor={floor}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_margin_covers_in_window_running_sums_of_inexact_flows() {
+        // A heavy element before the window leaves the in-window prefix
+        // difference a few ulps off the running sum P2 would form; the
+        // margin keeps the pair admitted at a floor equal to that sum.
+        let flows = [1e6, 0.1, 0.2, 0.3, 1e-3, 0.7, 3.3, 1e5 + 0.1, 0.1, 0.2];
+        let mut b = GraphBuilder::new();
+        for (t, &f) in flows.iter().enumerate() {
+            b.add_interaction(0, 1, t as i64, f);
+        }
+        let g = b.build_time_series_graph();
+        let s = GraphStore::series(&g, 0);
+        let mut short = 0;
+        for start in 1..flows.len() {
+            let mut acc = 0.0;
+            for (end, &f) in flows.iter().enumerate().skip(start) {
+                acc += f;
+                let w = TimeWindow::new(start as i64, end as i64);
+                short += usize::from(s.flow_in_closed(w.start, w.end) < acc);
+                assert!(reaches_floor(s, Some(w), acc), "elements {start}..={end} sum to {acc}");
+            }
+        }
+        assert!(short > 0, "some prefix difference must fall short of its running sum");
+        let w = TimeWindow::new(1, 9);
+        assert!(!reaches_floor(s, Some(w), s.flow_in_closed(1, 9) + 1e-3));
+        // Unbounded, the total is compared exactly: ties are admitted.
+        assert!(reaches_floor(s, None, s.total_flow()));
+        assert!(!reaches_floor(s, None, s.total_flow().next_up()));
     }
 
     #[test]

@@ -19,20 +19,19 @@
 //! ([`flowmotif_graph::TimeSeriesGraph::active_origins_in_range`]), so
 //! parallel queries never materialise one global candidate list.
 
+use crate::cutoff::cutoff_passes;
 use crate::enumerate::{
     enumerate_in_match_bounded, CollectSink, CountSink, InstanceSink, SearchOptions, SearchStats,
+    UNBOUNDED,
 };
 use crate::instance::{InstanceView, MotifInstance, StructuralMatch};
 use crate::matcher::P1Driver;
 use crate::motif::Motif;
 use crate::scratch::SearchScratch;
-use crate::topk::{rank_order, RankedInstance, TopKSink};
+use crate::topk::{pass_outcome, rank_order, RankedInstance, TopKSink};
 use crate::trace::TraceStage;
-use flowmotif_graph::{GraphStore, NodeId, TimeWindow, Timestamp};
+use flowmotif_graph::{Flow, GraphStore, NodeId, TimeWindow};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The unbounded window (plain Algorithm 1 semantics).
-const UNBOUNDED: TimeWindow = TimeWindow { start: Timestamp::MIN, end: Timestamp::MAX };
 
 /// Scheduling knobs for the parallel drivers. The defaults suit skewed
 /// real-world degree distributions; the fields exist for benchmarks,
@@ -126,18 +125,32 @@ fn build_tasks<G: GraphStore>(g: &G, opts: ParOptions) -> Vec<Task> {
     tasks
 }
 
+/// What one parallel scan searches: the motif, the window and the P1
+/// pair-flow floor (`-∞` for none).
+#[derive(Clone, Copy)]
+struct Scan<'a> {
+    motif: &'a Motif,
+    bounds: TimeWindow,
+    floor: Flow,
+}
+
+impl<'a> Scan<'a> {
+    fn new(motif: &'a Motif, bounds: TimeWindow) -> Self {
+        Self { motif, bounds, floor: Flow::NEG_INFINITY }
+    }
+}
+
 /// Runs one task's P1+P2 into the worker's sink/stats/scratch.
-#[allow(clippy::too_many_arguments)] // the worker loop's full private state
 fn run_task<G: GraphStore, S: InstanceSink>(
     g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
+    scan: Scan<'_>,
     opts: SearchOptions,
     task: &Task,
     sink: &mut S,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) {
+    let Scan { motif, bounds, floor } = scan;
     let SearchScratch { p1, p2, .. } = scratch;
     // Traced runs time the task total and the inside of every P2 call
     // (P1 = total − P2), mirroring the sequential driver; stats are
@@ -158,7 +171,8 @@ fn run_task<G: GraphStore, S: InstanceSink>(
     let driver = P1Driver::new(motif.path())
         .bounds(bounds)
         .use_index(opts.use_active_index)
-        .extension_order(opts.extension_order);
+        .extension_order(opts.extension_order)
+        .flow_floor(floor);
     let driver = match task {
         Task::Origins(r) => driver.origins(r.clone()),
         Task::HubPairs { origin, pairs } => driver.from_origin(*origin, pairs.clone()),
@@ -181,8 +195,7 @@ fn run_task<G: GraphStore, S: InstanceSink>(
 /// chunk never serialises the scan.
 fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
     g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
+    scan: Scan<'_>,
     opts: SearchOptions,
     par: ParOptions,
     sinks: Vec<S>,
@@ -208,28 +221,10 @@ fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
                         sink.begin_task(i);
                         if opts.trace.is_some() {
                             let t0 = std::time::Instant::now();
-                            run_task(
-                                g,
-                                motif,
-                                bounds,
-                                opts,
-                                task,
-                                &mut sink,
-                                &mut stats,
-                                &mut scratch,
-                            );
+                            run_task(g, scan, opts, task, &mut sink, &mut stats, &mut scratch);
                             busy += t0.elapsed().as_nanos() as u64;
                         } else {
-                            run_task(
-                                g,
-                                motif,
-                                bounds,
-                                opts,
-                                task,
-                                &mut sink,
-                                &mut stats,
-                                &mut scratch,
-                            );
+                            run_task(g, scan, opts, task, &mut sink, &mut stats, &mut scratch);
                         }
                     }
                     if let Some(trace) = opts.trace {
@@ -280,7 +275,7 @@ pub fn par_count_instances_in_window<G: GraphStore + Sync>(
 ) -> (u64, SearchStats) {
     let workers = effective_threads(par.threads);
     let sinks = (0..workers).map(|_| CountSink::default()).collect();
-    let (sinks, stats) = par_scan(g, motif, bounds, opts, par, sinks);
+    let (sinks, stats) = par_scan(g, Scan::new(motif, bounds), opts, par, sinks);
     (sinks.iter().map(|s| s.count).sum(), stats)
 }
 
@@ -316,7 +311,7 @@ pub fn par_enumerate_window<G: GraphStore + Sync>(
 ) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
     let workers = effective_threads(par.threads);
     let sinks = (0..workers).map(|_| CollectSink::default()).collect();
-    let (sinks, stats) = par_scan(g, motif, bounds, opts, par, sinks);
+    let (sinks, stats) = par_scan(g, Scan::new(motif, bounds), opts, par, sinks);
     let mut groups = Vec::new();
     for s in sinks {
         groups.extend(s.groups);
@@ -361,7 +356,7 @@ pub fn par_count_and_sample_with<G: GraphStore + Sync>(
     let sinks = (0..workers)
         .map(|_| SampleSink { count: 0, limit: show, task: 0, sample: Vec::new() })
         .collect();
-    let (sinks, stats) = par_scan(g, motif, UNBOUNDED, opts, par, sinks);
+    let (sinks, stats) = par_scan(g, Scan::new(motif, UNBOUNDED), opts, par, sinks);
     let count = sinks.iter().map(|s| s.count).sum();
     // A worker claims tasks in ascending order, so its sample is its
     // first `show` instances in scan order, and the scan's first `show`
@@ -375,7 +370,9 @@ pub fn par_count_and_sample_with<G: GraphStore + Sync>(
 /// Parallel top-k: each worker keeps a local top-k heap; heaps are merged
 /// in [`rank_order`] at the end. The floating threshold is per-worker, so
 /// pruning is weaker than in the sequential version, but results are
-/// identical — the same instances in the same order.
+/// identical — the same instances in the same order. Like
+/// [`crate::topk::top_k`], the search runs as [`crate::cutoff`] passes
+/// (reported to the trace, if any); the stats sum over the passes.
 pub fn par_top_k<G: GraphStore + Sync>(
     g: &G,
     motif: &Motif,
@@ -394,15 +391,22 @@ pub fn par_top_k_with<G: GraphStore + Sync>(
     par: ParOptions,
 ) -> (Vec<RankedInstance>, SearchStats) {
     let workers = effective_threads(par.threads);
-    let sinks = (0..workers).map(|_| TopKSink::new(k)).collect();
-    let (sinks, stats) = par_scan(g, motif, UNBOUNDED, opts, par, sinks);
-    let mut all: Vec<RankedInstance> = Vec::new();
-    for s in sinks {
-        all.extend(s.into_sorted());
-    }
-    all.sort_by(|a, b| rank_order(&a.instance, &b.instance));
-    all.truncate(k);
-    (all, stats)
+    let mut ranked = Vec::new();
+    let mut stats = SearchStats::default();
+    cutoff_passes(g, k, motif.phi(), opts.trace, |floor| {
+        let sinks = (0..workers).map(|_| TopKSink::new(k)).collect();
+        let scan = Scan { floor, ..Scan::new(motif, UNBOUNDED) };
+        let (sinks, pass_stats) = par_scan(g, scan, opts, par, sinks);
+        stats.merge(&pass_stats);
+        ranked.clear();
+        for s in sinks {
+            ranked.extend(s.into_sorted());
+        }
+        ranked.sort_by(|a, b| rank_order(&a.instance, &b.instance));
+        ranked.truncate(k);
+        pass_outcome(&ranked, k)
+    });
+    (ranked, stats)
 }
 
 /// A deterministic model of the scheduler, for benches and tests on

@@ -7,10 +7,16 @@
 //! *floating* pruning threshold in place of `ϕ`. Ties in flow are ranked
 //! by the instances' edge sets ([`rank_order`]), so every search order
 //! and thread count returns the same instances in the same order.
+//!
+//! [`top_k`] also pushes the bound into phase P1: it runs the search as
+//! [`crate::cutoff`] passes, each binding only pairs heavy enough to
+//! carry a top-k instance.
 
-use crate::enumerate::{enumerate_with_sink, InstanceSink, SearchOptions, SearchStats};
+use crate::cutoff::{cutoff_passes, PassOutcome};
+use crate::enumerate::{enumerate_floored, InstanceSink, SearchOptions, SearchStats, UNBOUNDED};
 use crate::instance::{EdgeSet, InstanceView, MotifInstance, StructuralMatch};
 use crate::motif::Motif;
+use crate::scratch::SearchScratch;
 use flowmotif_graph::{Flow, GraphStore};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -163,10 +169,32 @@ impl InstanceSink for TopKSink {
 ///
 /// `motif.phi()` still applies as a hard lower bound; pass `ϕ = 0` for the
 /// paper's pure ranking semantics (§5 runs top-k with `ϕ = 0`).
+///
+/// The search runs as [`crate::cutoff`] passes; the result is that of a
+/// single search without a floor, and the stats sum over the passes.
+///
+/// # Panics
+/// Panics if `k == 0`.
 pub fn top_k<G: GraphStore>(g: &G, motif: &Motif, k: usize) -> (Vec<RankedInstance>, SearchStats) {
-    let mut sink = TopKSink::new(k);
-    let stats = enumerate_with_sink(g, motif, SearchOptions::default(), &mut sink);
-    (sink.into_sorted(), stats)
+    let mut ranked = Vec::new();
+    let mut stats = SearchStats::default();
+    let mut scratch = SearchScratch::default();
+    cutoff_passes(g, k, motif.phi(), None, |floor| {
+        let mut sink = TopKSink::new(k);
+        let opts = SearchOptions::default();
+        stats.merge(&enumerate_floored(g, motif, UNBOUNDED, floor, opts, &mut sink, &mut scratch));
+        ranked = sink.into_sorted();
+        pass_outcome(&ranked, k)
+    });
+    (ranked, stats)
+}
+
+/// A top-k pass's outcome from its ranked results.
+pub(crate) fn pass_outcome(ranked: &[RankedInstance], k: usize) -> PassOutcome {
+    PassOutcome {
+        found: ranked.len(),
+        kth_flow: ranked.get(k - 1).map_or(Flow::NEG_INFINITY, |r| r.instance.flow),
+    }
 }
 
 /// Convenience for Fig. 11: the flow of the `k`-th ranked instance, or

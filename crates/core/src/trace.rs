@@ -13,9 +13,11 @@
 //!
 //! [`AtomicTrace`] is the bundled lock-free implementation: per-stage
 //! relaxed counters plus fixed per-worker slots for the parallel
-//! scheduler's steal counts. One leaked (or static) `AtomicTrace` can be
+//! scheduler's steal counts and per-pass slots for the cutoff passes of
+//! the ranking searches ([`crate::cutoff`]). One leaked (or static) `AtomicTrace` can be
 //! shared by every worker of a query and reset between queries.
 
+use flowmotif_graph::Flow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A stage of the search pipeline, as broken down in the paper's
@@ -67,11 +69,32 @@ pub trait TraceSink: Sync {
     /// shared queue (its steal count) and `nanos` spent busy. Default:
     /// ignored, so single-stage sinks need not care.
     fn worker(&self, _index: usize, _tasks: u64, _nanos: u64) {}
+
+    /// Reports cutoff pass `index` of a ranking search
+    /// ([`crate::cutoff`]): its pair-flow floor `cutoff`, the `pairs`
+    /// that floor admits and the `instances` (results, at most `k`) the
+    /// pass found. Default: ignored.
+    fn pass(&self, _index: usize, _cutoff: Flow, _pairs: u64, _instances: u64) {}
 }
 
 /// Per-worker slots tracked by [`AtomicTrace`]; workers beyond this are
 /// folded into the last slot.
 pub const MAX_TRACE_WORKERS: usize = 64;
+
+/// Cutoff-pass slots tracked by [`AtomicTrace`]; passes beyond this are
+/// folded into the last slot.
+pub const MAX_TRACE_PASSES: usize = 32;
+
+/// One cutoff pass as read back from an [`AtomicTrace`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PassRecord {
+    /// The pass's pair-flow floor (`-∞` for the search without one).
+    pub cutoff: Flow,
+    /// Pairs the floor admits.
+    pub pairs: u64,
+    /// Results the pass found.
+    pub instances: u64,
+}
 
 /// A lock-free [`TraceSink`]: relaxed per-stage nanosecond/count
 /// accumulators plus fixed per-worker task/busy slots. `const`-
@@ -84,6 +107,9 @@ pub struct AtomicTrace {
     worker_tasks: [AtomicU64; MAX_TRACE_WORKERS],
     worker_nanos: [AtomicU64; MAX_TRACE_WORKERS],
     workers: AtomicUsize,
+    /// Per pass: the cutoff's bits, admitted pairs, results found.
+    passes: [[AtomicU64; 3]; MAX_TRACE_PASSES],
+    num_passes: AtomicUsize,
 }
 
 impl AtomicTrace {
@@ -95,6 +121,8 @@ impl AtomicTrace {
             worker_tasks: [const { AtomicU64::new(0) }; MAX_TRACE_WORKERS],
             worker_nanos: [const { AtomicU64::new(0) }; MAX_TRACE_WORKERS],
             workers: AtomicUsize::new(0),
+            passes: [const { [const { AtomicU64::new(0) }; 3] }; MAX_TRACE_PASSES],
+            num_passes: AtomicUsize::new(0),
         }
     }
 
@@ -124,6 +152,20 @@ impl AtomicTrace {
         self.worker_nanos[i.min(MAX_TRACE_WORKERS - 1)].load(Ordering::Relaxed)
     }
 
+    /// The cutoff passes reported so far, in pass order (capped at
+    /// [`MAX_TRACE_PASSES`]).
+    pub fn passes(&self) -> Vec<PassRecord> {
+        let n = self.num_passes.load(Ordering::Relaxed).min(MAX_TRACE_PASSES);
+        self.passes[..n]
+            .iter()
+            .map(|[cutoff, pairs, instances]| PassRecord {
+                cutoff: Flow::from_bits(cutoff.load(Ordering::Relaxed)),
+                pairs: pairs.load(Ordering::Relaxed),
+                instances: instances.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+
     /// Zeroes every accumulator (between queries; not linearizable with
     /// concurrent recording).
     pub fn reset(&self) {
@@ -140,6 +182,10 @@ impl AtomicTrace {
             a.store(0, Ordering::Relaxed);
         }
         self.workers.store(0, Ordering::Relaxed);
+        for slot in self.passes.iter().flatten() {
+            slot.store(0, Ordering::Relaxed);
+        }
+        self.num_passes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -160,6 +206,14 @@ impl TraceSink for AtomicTrace {
         self.worker_tasks[slot].fetch_add(tasks, Ordering::Relaxed);
         self.worker_nanos[slot].fetch_add(nanos, Ordering::Relaxed);
         self.workers.fetch_max(index + 1, Ordering::Relaxed);
+    }
+
+    fn pass(&self, index: usize, cutoff: Flow, pairs: u64, instances: u64) {
+        let [c, p, n] = &self.passes[index.min(MAX_TRACE_PASSES - 1)];
+        c.store(cutoff.to_bits(), Ordering::Relaxed);
+        p.store(pairs, Ordering::Relaxed);
+        n.store(instances, Ordering::Relaxed);
+        self.num_passes.fetch_max(index + 1, Ordering::Relaxed);
     }
 }
 
@@ -196,6 +250,21 @@ mod tests {
         t.worker(MAX_TRACE_WORKERS + 10, 9, 9);
         assert_eq!(t.worker_tasks(MAX_TRACE_WORKERS - 1), 9);
         assert_eq!(t.workers(), MAX_TRACE_WORKERS);
+    }
+
+    #[test]
+    fn pass_slots_read_back_in_order() {
+        let t = AtomicTrace::new();
+        assert!(t.passes().is_empty());
+        t.pass(0, 62.5, 16, 0);
+        t.pass(1, Flow::NEG_INFINITY, 300, 1);
+        let passes = t.passes();
+        assert_eq!(passes.len(), 2);
+        assert_eq!(passes[0], PassRecord { cutoff: 62.5, pairs: 16, instances: 0 });
+        assert_eq!(passes[1].cutoff, Flow::NEG_INFINITY);
+        assert_eq!((passes[1].pairs, passes[1].instances), (300, 1));
+        t.reset();
+        assert!(t.passes().is_empty());
     }
 
     #[test]

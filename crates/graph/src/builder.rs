@@ -102,6 +102,48 @@ impl GraphBuilder {
     }
 }
 
+/// The most nodes an edge list of `interactions` interactions may imply:
+/// 16 per interaction, and at least 2^20. Node ids index dense arrays
+/// (node count = largest id + 1), so a loader refuses a larger count
+/// with [`GraphError::SparseNodeId`] before it allocates any of them.
+pub const fn max_dense_nodes(interactions: usize) -> u64 {
+    let per_interaction = (interactions as u64).saturating_mul(16);
+    if per_interaction > 1 << 20 {
+        per_interaction
+    } else {
+        1 << 20
+    }
+}
+
+/// The largest node id an edge-list loader has seen and the line that
+/// first named it: what the loader sizes its node-indexed arrays by.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeIdRange {
+    max: Option<(NodeId, usize)>,
+}
+
+impl NodeIdRange {
+    /// Records an interaction `from -> to` read on 1-based line `line`.
+    #[inline]
+    pub(crate) fn see(&mut self, from: NodeId, to: NodeId, line: usize) {
+        let id = from.max(to);
+        if self.max.is_none_or(|(max, _)| id > max) {
+            self.max = Some((id, line));
+        }
+    }
+
+    /// The node count (largest id + 1), or [`GraphError::SparseNodeId`]
+    /// when it exceeds [`max_dense_nodes`] for `interactions`.
+    pub(crate) fn num_nodes(&self, interactions: usize) -> Result<usize, GraphError> {
+        let Some((id, line)) = self.max else { return Ok(0) };
+        let nodes = u64::from(id) + 1;
+        if nodes > max_dense_nodes(interactions) {
+            return Err(GraphError::SparseNodeId { id: id.into(), line, interactions });
+        }
+        Ok(nodes as usize)
+    }
+}
+
 /// The checks every edge-list consumer applies to an interaction: a
 /// finite, positive flow, then no self-loop unless allowed.
 pub(crate) fn check_interaction(

@@ -19,6 +19,17 @@ pub enum GraphError {
     },
     /// A self-loop `u -> u` was supplied and the builder forbids them.
     SelfLoop(u64),
+    /// An edge list names a node id so far beyond its size that the
+    /// node-indexed arrays it implies (one slot per id up to the largest)
+    /// exceed [`crate::builder::max_dense_nodes`].
+    SparseNodeId {
+        /// The largest node id in the input.
+        id: u64,
+        /// 1-based line that first names it.
+        line: usize,
+        /// Interactions in the input.
+        interactions: usize,
+    },
     /// A line of an edge-list file could not be parsed.
     Parse {
         /// 1-based line number.
@@ -67,6 +78,14 @@ impl fmt::Display for GraphError {
                 "interaction {from}->{to} has invalid flow {flow}; flows must be finite and > 0"
             ),
             GraphError::SelfLoop(u) => write!(f, "self-loop on node {u} is not allowed"),
+            GraphError::SparseNodeId { id, line, interactions } => write!(
+                f,
+                "node id {id} on line {line} is too sparse: node ids index dense arrays, and \
+                 {} nodes exceed the limit of {} for {interactions} interactions \
+                 (16 per interaction, at least 2^20)",
+                id + 1,
+                crate::builder::max_dense_nodes(*interactions)
+            ),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
@@ -108,6 +127,11 @@ mod tests {
 
         let e = GraphError::NodeIdOverflow(1 << 40);
         assert!(e.to_string().contains("u32"));
+
+        let e = GraphError::SparseNodeId { id: 4_294_967_295, line: 3, interactions: 2 };
+        let msg = e.to_string();
+        assert!(msg.contains("4294967295") && msg.contains("line 3"), "{msg}");
+        assert!(msg.contains(&(1u64 << 20).to_string()), "{msg}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ignored. This covers the usual distribution format of temporal-network
 //! datasets (SNAP, KONECT) with an extra flow column.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, NodeIdRange};
 use crate::error::GraphError;
 use crate::multigraph::TemporalMultigraph;
 use crate::segment::SegmentStore;
@@ -223,13 +223,19 @@ impl<R: Read> Iterator for EdgeListRecords<R> {
     }
 }
 
-/// Reads an edge list into a [`GraphBuilder`].
+/// Reads an edge list into a [`GraphBuilder`]. An input whose largest
+/// node id implies more nodes than [`crate::builder::max_dense_nodes`]
+/// allows is refused with [`GraphError::SparseNodeId`].
 pub fn read_edge_list<R: Read>(reader: R) -> Result<GraphBuilder, GraphError> {
     let mut builder = GraphBuilder::new();
-    for rec in EdgeListRecords::new(reader) {
+    let mut ids = NodeIdRange::default();
+    let mut records = EdgeListRecords::new(reader);
+    while let Some(rec) = records.next() {
         let (u, v, t, f) = rec?;
         builder.try_add_interaction(u, v, t, f)?;
+        ids.see(u, v, records.line_number());
     }
+    ids.num_nodes(builder.num_interactions())?;
     Ok(builder)
 }
 
@@ -310,6 +316,24 @@ mod tests {
     fn rejects_node_id_overflow() {
         let err = read_edge_list("5000000000 1 10 1.0\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::NodeIdOverflow(_)));
+    }
+
+    #[test]
+    fn refuses_a_sparse_node_id_instead_of_sizing_arrays_by_it() {
+        let input = "0 1 10 1.0\n# gap\n4294967295 1 11 1.0\n";
+        let err = read_edge_list(input.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, GraphError::SparseNodeId { id: 4_294_967_295, line: 3, .. }),
+            "{err}"
+        );
+        let path = std::env::temp_dir().join(format!("fm-sparse-{}.txt", std::process::id()));
+        std::fs::write(&path, input).unwrap();
+        let err = load_time_series_graph(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.to_string().contains("node id 4294967295 on line 3"), "{err}");
+        // Dense ids up to the limit still load.
+        let g = read_edge_list("0 1 10 1.0\n1048575 1 11 1.0\n".as_bytes()).unwrap();
+        assert_eq!(g.build_time_series_graph().num_nodes(), 1 << 20);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! the same bytes.
 
 use crate::active::{ActiveOriginIndex, IndexBuilder};
-use crate::builder::check_interaction;
+use crate::builder::{check_interaction, NodeIdRange};
 use crate::error::GraphError;
 use crate::event::{Event, Flow, NodeId, PairId, Timestamp};
 use crate::io::EdgeListRecords;
@@ -660,10 +660,12 @@ pub fn pack_edge_list(
     let mut span: Option<(Timestamp, Timestamp)> = None;
     let mut seq = 0u64;
     let result = (|| -> Result<(), GraphError> {
-        for rec in EdgeListRecords::new(file) {
+        let mut ids = NodeIdRange::default();
+        let mut records = EdgeListRecords::new(file);
+        while let Some(rec) = records.next() {
             let (u, v, t, f) = rec?;
             check_interaction(u, v, f, false)?;
-            num_nodes = num_nodes.max(u.max(v) as usize + 1);
+            ids.see(u, v, records.line_number());
             span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
             buf.push((RunRecord { u, v, t, seq }, f));
             seq += 1;
@@ -672,6 +674,7 @@ pub fn pack_edge_list(
             }
         }
         flush_run(&mut buf, out_dir, &mut runs)?;
+        num_nodes = ids.num_nodes(seq as usize)?;
 
         // Pass 2: k-way merge the runs straight into the writer.
         let mut writer = SegmentWriter::create(out_dir, num_nodes, span)?;
@@ -826,15 +829,17 @@ impl SegmentStore {
     /// about two copies of the records plus the image.
     pub fn from_edge_list<R: Read>(reader: R) -> Result<Self, GraphError> {
         let mut records: Vec<Record> = Vec::new();
-        let mut num_nodes = 0usize;
+        let mut ids = NodeIdRange::default();
         let mut span: Option<(Timestamp, Timestamp)> = None;
-        for rec in EdgeListRecords::new(reader) {
+        let mut input = EdgeListRecords::new(reader);
+        while let Some(rec) = input.next() {
             let (u, v, t, f) = rec?;
             check_interaction(u, v, f, false)?;
-            num_nodes = num_nodes.max(u.max(v) as usize + 1);
+            ids.see(u, v, input.line_number());
             span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
             records.push((u, v, t, f));
         }
+        let num_nodes = ids.num_nodes(records.len())?;
         let records = sort_records(records, num_nodes);
         let num_pairs = records.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).count();
         let mut w = SegmentWriter::in_memory(num_nodes, num_pairs, records.len(), span)?;
@@ -1353,6 +1358,21 @@ mod tests {
             pack_edge_list(&input, &dir.join("o2"), 64),
             Err(GraphError::SelfLoop(4))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pack_and_in_memory_build_refuse_sparse_node_ids() {
+        let dir = tmp_dir("pack-sparse");
+        let input = dir.join("edges.txt");
+        std::fs::write(&input, "0 1 5 1.0\n4294967295 1 6 1.0\n").unwrap();
+        let sparse = |e: &GraphError| {
+            matches!(e, GraphError::SparseNodeId { id: 4_294_967_295, line: 2, .. })
+        };
+        let err = pack_edge_list(&input, &dir.join("o"), 64).unwrap_err();
+        assert!(sparse(&err), "{err}");
+        let err = SegmentStore::from_edge_list(std::fs::File::open(&input).unwrap()).unwrap_err();
+        assert!(sparse(&err), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
