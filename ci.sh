@@ -88,10 +88,10 @@ stage_out_of_core() {
   # external sort with a tiny sort buffer), and require the mapped
   # `--packed` search to produce byte-identical output to the search of
   # the edge list (built into an in-memory segment) for the enumeration,
-  # top-k and top-1 pipelines — also at `--threads 2`, where the
-  # `find` sample and the top-k tie order must not depend on the
-  # schedule. The edge-list parser's differential loop then runs with a
-  # larger budget than the test stage gives it. The memory
+  # top-k, top-1 and census pipelines — also at `--threads 2`, where
+  # the `find` sample, the top-k tie order and the census rows must not
+  # depend on the schedule. The edge-list parser's differential loop
+  # then runs with a larger budget than the test stage gives it. The memory
   # side of the story is enforced by `benches/out_of_core.rs` in the
   # bench-regression stage above: it runs the packed search under an
   # allocator-enforced heap budget 4x smaller than the segment and
@@ -128,6 +128,15 @@ stage_out_of_core() {
   "${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 10 --threads 1 \
     >"${_dir}/topk1-mem.txt"
   cmp "${_dir}/topk1-mem.txt" "${_dir}/topk2-mem.txt"
+  # The census runs every walk shape through the same two-phase search:
+  # its rows must not depend on the backend or the thread count either.
+  "${_fm}" census "${_dir}/edges.txt" --edges 3 --delta 3600 --phi 5 >"${_dir}/census-mem.txt"
+  "${_fm}" census "${_dir}/seg" --packed --edges 3 --delta 3600 --phi 5 \
+    >"${_dir}/census-packed.txt"
+  cmp "${_dir}/census-mem.txt" "${_dir}/census-packed.txt"
+  "${_fm}" census "${_dir}/edges.txt" --edges 3 --delta 3600 --phi 5 --threads 2 \
+    >"${_dir}/census2-mem.txt"
+  cmp "${_dir}/census-mem.txt" "${_dir}/census2-mem.txt"
   _k1=$("${_fm}" topk "${_dir}/edges.txt" --motif "M(3,2)" --delta 3600 --k 1 |
     awk '$1 == "#1" { print $3 }')
   _top1=$(awk '$1 == "top-1" { print $3 }' "${_dir}/top1-mem.txt")

@@ -9,7 +9,6 @@
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
 use flowmotif_core::enumerate::{enumerate_with_sink, CountSink, SearchOptions};
 use flowmotif_core::parallel::par_count_instances;
-use flowmotif_core::shared::count_instances_shared;
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -38,7 +37,6 @@ fn main() {
             sink.count
         });
     }
-    group.bench("shared_prefix", || black_box(count_instances_shared(&g, motif)));
     for threads in [1usize, 2, 4] {
         group.bench(format!("threads/{threads}"), || {
             black_box(par_count_instances(&g, motif, threads))

@@ -6,7 +6,7 @@
 
 use flowmotif_baseline::join_enumerate;
 use flowmotif_bench::{harness::ms, time_it, CommonArgs, ExpContext, Table};
-use flowmotif_core::{count_instances, count_instances_shared};
+use flowmotif_core::count_instances;
 use flowmotif_datasets::Dataset;
 
 struct Row {
@@ -15,10 +15,9 @@ struct Row {
     instances: u64,
     two_phase_ms: f64,
     join_ms: f64,
-    shared_ms: f64,
 }
 
-flowmotif_util::impl_to_json!(Row { dataset, motif, instances, two_phase_ms, join_ms, shared_ms });
+flowmotif_util::impl_to_json!(Row { dataset, motif, instances, two_phase_ms, join_ms });
 
 fn main() {
     let args = CommonArgs::parse();
@@ -31,26 +30,17 @@ fn main() {
     for d in Dataset::ALL {
         let g = ctx.graph(d);
         let motifs = if args.quick { ctx.motifs_quick(d) } else { ctx.motifs(d) };
-        let mut table = Table::new([
-            "Motif",
-            "#instances",
-            "two-phase (ms)",
-            "join (ms)",
-            "shared (ms)",
-            "join/two-phase",
-        ]);
+        let mut table =
+            Table::new(["Motif", "#instances", "two-phase (ms)", "join (ms)", "join/two-phase"]);
         for m in &motifs {
             let ((n2, _), t2) = time_it(|| count_instances(&g, m));
             let ((nj, _), tj) = time_it(|| join_enumerate(&g, m));
-            let ((ns, _), ts) = time_it(|| count_instances_shared(&g, m));
             assert_eq!(n2, nj.len() as u64, "two-phase and join must agree on {m}");
-            assert_eq!(n2, ns, "shared-prefix search must agree on {m}");
             table.row([
                 m.name(),
                 n2.to_string(),
                 format!("{:.2}", ms(t2)),
                 format!("{:.2}", ms(tj)),
-                format!("{:.2}", ms(ts)),
                 format!("{:.2}x", ms(tj) / ms(t2).max(1e-9)),
             ]);
             rows.push(Row {
@@ -59,7 +49,6 @@ fn main() {
                 instances: n2,
                 two_phase_ms: ms(t2),
                 join_ms: ms(tj),
-                shared_ms: ms(ts),
             });
         }
         println!("== {} (δ={}, ϕ={}) ==", d.name(), d.default_delta(), d.default_phi());

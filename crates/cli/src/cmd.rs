@@ -41,7 +41,7 @@ fn load(path: &Path) -> Result<TimeSeriesGraph, String> {
     io::load_time_series_graph(path).map_err(|e| format!("loading {}: {e}", path.display()))
 }
 
-/// The graph find/topk/top1 search: a segment either way. With
+/// The graph find/topk/top1/census search: a segment either way. With
 /// `--packed`, `path` is a segment directory (or `graph.seg` file)
 /// produced by `flowmotif pack`, and every mapped page is touched once
 /// before the search (phase P1 hops the adjacency sections in graph
@@ -206,6 +206,9 @@ fn find_in<G: GraphStore + Sync, W: Write>(
 }
 
 fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
+    if cli.k == 0 {
+        return Err("--k must be at least 1".into());
+    }
     let started = std::time::Instant::now();
     let g = search_graph(path, cli)?;
     topk_in(&g, cli, started.elapsed(), out)
@@ -337,8 +340,9 @@ fn significance<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), Str
 }
 
 fn census<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    let g = load(path)?;
-    let rows = walk_census(&g, cli.edges, cli.delta, cli.phi);
+    let g = search_graph(path, cli)?;
+    let rows = walk_census(&g, cli.edges, cli.delta, cli.phi, search_options_of(cli), par_of(cli))
+        .map_err(|e| e.to_string())?;
     if cli.json {
         writeln!(out, "{}", flowmotif_util::to_string_pretty(&rows)).ok();
         return Ok(());
@@ -835,7 +839,7 @@ mod tests {
     fn packed_search_matches_in_memory_output() {
         let (edges, dir) = packed_fig2();
         let motif = ["--motif", "M(3,3)", "--delta", "10", "--phi", "7"];
-        for cmd in ["find", "search", "topk", "top1"] {
+        for cmd in ["find", "search", "topk", "top1", "census"] {
             let mut mem = vec![cmd, edges.to_str()];
             mem.extend_from_slice(&motif);
             let mut packed = vec![cmd, dir.0.to_str().unwrap(), "--packed"];
@@ -929,6 +933,43 @@ mod tests {
         let (out, r) = run_args(&["census", path.to_str(), "--edges", "2", "--delta", "10"]);
         r.unwrap();
         assert!(out.contains("0-1-2"), "{out}");
+    }
+
+    #[test]
+    fn census_rejects_zero_edges() {
+        let path = temp_edge_list();
+        let (_, r) = run_args(&["census", path.to_str(), "--edges", "0"]);
+        assert_eq!(r.unwrap_err(), "census motif size must be 1..=8 edges, got 0");
+    }
+
+    #[test]
+    fn census_rejects_nine_edges() {
+        let path = temp_edge_list();
+        let (_, r) = run_args(&["census", path.to_str(), "--edges", "9"]);
+        assert_eq!(r.unwrap_err(), "census motif size must be 1..=8 edges, got 9");
+    }
+
+    #[test]
+    fn census_rejects_a_negative_delta() {
+        let path = temp_edge_list();
+        let (_, r) = run_args(&["census", path.to_str(), "--delta", "-5"]);
+        assert_eq!(r.unwrap_err(), "duration constraint δ must be >= 0, got -5");
+    }
+
+    #[test]
+    fn topk_rejects_zero_k() {
+        let path = temp_edge_list();
+        let (_, r) = run_args(&["topk", path.to_str(), "--k", "0"]);
+        assert_eq!(r.unwrap_err(), "--k must be at least 1");
+    }
+
+    #[test]
+    fn find_reports_the_real_error_for_a_catalog_motif() {
+        let path = temp_edge_list();
+        for cmd in ["find", "topk", "top1"] {
+            let (_, r) = run_args(&[cmd, path.to_str(), "--motif", "M(3,2)", "--delta", "-5"]);
+            assert_eq!(r.unwrap_err(), "duration constraint δ must be >= 0, got -5", "{cmd}");
+        }
     }
 
     #[test]

@@ -29,7 +29,11 @@ COMMANDS:
   pack <file>             compile an edge list into a packed segment
                           directory (out-of-core backend; see --packed)
   significance <file>     z-score vs flow-permuted replicas (§6.3)
-  census <file>           instance counts of every walk shape of --edges size
+  census <file>           instance and structural-match counts of every
+                          walk shape of --edges size (1..=8), each shape
+                          run through the search of find, so --packed,
+                          --threads, --hub-degree and --extension-order
+                          apply to it too
   activity <file>         most active vertex groups for a motif (§5.1 ext.)
   generate                emit a synthetic dataset as an edge list
   stream [file]           resident engine: ingest edges + answer interleaved
@@ -46,7 +50,7 @@ COMMANDS:
   metrics                 fetch a running server's metrics (Prometheus
                           text) and print them to stdout
 
-OPTIONS (find/topk/top1/significance):
+OPTIONS (find/topk/top1/census/significance):
   --motif <spec>          catalog name like M(3,3) or a walk like 0-1-2-0   [M(3,2)]
   --delta <int>           duration constraint δ                             [600]
   --phi <float>           flow constraint ϕ                                 [0]
@@ -61,10 +65,10 @@ OPTIONS (find/topk/top1/significance):
   --seed <int>            RNG seed                                          [42]
   --packed                treat <file> as a packed segment directory
                           (produced by `pack`) and search it through a
-                          read-only memory map (find/search, topk, top1).
-                          Without it the edge list is built into the same
-                          segment in memory, so --packed only skips the
-                          parse and the sort
+                          read-only memory map (find/search, topk, top1,
+                          census). Without it the edge list is built into
+                          the same segment in memory, so --packed only
+                          skips the parse and the sort
   --profile               print a per-stage breakdown (graph load, P1
                           match scan, P2 enumeration, DP solve, per-worker
                           load) after the results (find/search, topk, top1),
@@ -154,7 +158,8 @@ pub struct Cli {
     pub edges: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Treat the input of find/topk/top1 as a packed segment directory.
+    /// Treat the input of find/topk/top1/census as a packed segment
+    /// directory.
     pub packed: bool,
     /// External-sort run size (records) for `pack`.
     pub run_records: usize,

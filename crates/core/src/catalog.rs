@@ -60,10 +60,13 @@ pub fn by_name(name: &str, delta: i64, phi: f64) -> Result<Motif, MotifError> {
 }
 
 /// Parses a motif from either a catalog name or an explicit walk such as
-/// `"0-1-2-0"` (dash- or space-separated vertex labels).
+/// `"0-1-2-0"` (dash- or space-separated vertex labels). A spec that
+/// names a catalog motif reports [`by_name`]'s own error (a bad `δ` or
+/// `ϕ`), not an unknown name.
 pub fn parse_motif(spec: &str, delta: i64, phi: f64) -> Result<Motif, MotifError> {
-    if let Ok(m) = by_name(spec, delta, phi) {
-        return Ok(m);
+    match by_name(spec, delta, phi) {
+        Err(MotifError::UnknownMotifName(_)) => {}
+        named => return named,
     }
     let labels: Result<Vec<MotifNode>, _> = spec
         .split(|c: char| c == '-' || c.is_whitespace())
@@ -125,5 +128,18 @@ mod tests {
         assert_eq!(m.num_edges(), 3);
         assert!(parse_motif("garbage", 10, 2.0).is_err());
         assert!(parse_motif("0-0", 10, 2.0).is_err());
+    }
+
+    #[test]
+    fn parse_motif_reports_the_catalog_error_for_a_named_motif() {
+        assert_eq!(parse_motif("M(3,2)", -5, 0.0).unwrap_err(), MotifError::NegativeDelta(-5));
+        assert_eq!(parse_motif("m(3,3)", 10, -1.0).unwrap_err(), MotifError::InvalidPhi(-1.0));
+        // A walk with a bad δ reports the same error; an unknown name
+        // that is not a walk still says so.
+        assert_eq!(parse_motif("0-1-2", -5, 0.0).unwrap_err(), MotifError::NegativeDelta(-5));
+        assert_eq!(
+            parse_motif("M(9,9)", -5, 0.0).unwrap_err(),
+            MotifError::UnknownMotifName("M(9,9)".into())
+        );
     }
 }

@@ -5,21 +5,28 @@
 //! walks visit 3–5 vertices, so this module also generates the catalog
 //! programmatically.
 
-use crate::matcher::count_structural_matches;
+use crate::enumerate::SearchOptions;
+use crate::error::MotifError;
 use crate::motif::{Motif, MotifNode, SpanningPath};
-use crate::shared::count_instances_shared;
-use flowmotif_graph::{Flow, TimeSeriesGraph, Timestamp};
+use crate::parallel::{par_count_instances_with, ParOptions};
+use flowmotif_graph::{Flow, GraphStore, Timestamp};
+
+/// The largest census size: beyond 8 edges the number of shapes is
+/// combinatorially explosive.
+pub const MAX_CENSUS_EDGES: usize = 8;
 
 /// Enumerates every canonical spanning path with exactly `num_edges`
 /// edges. Canonical means vertex labels appear in first-appearance order,
-/// so each isomorphism class appears exactly once.
-pub fn all_walk_shapes(num_edges: usize) -> Vec<SpanningPath> {
-    assert!(num_edges >= 1, "a motif needs at least one edge");
-    assert!(num_edges <= 8, "census beyond 8 edges is combinatorially explosive");
+/// so each isomorphism class appears exactly once. Fails unless
+/// `1 <= num_edges <= MAX_CENSUS_EDGES`.
+pub fn all_walk_shapes(num_edges: usize) -> Result<Vec<SpanningPath>, MotifError> {
+    if !(1..=MAX_CENSUS_EDGES).contains(&num_edges) {
+        return Err(MotifError::CensusSize(num_edges));
+    }
     let mut out = Vec::new();
     let mut walk: Vec<MotifNode> = vec![0];
     extend(&mut walk, num_edges, &mut out);
-    out
+    Ok(out)
 }
 
 fn extend(walk: &mut Vec<MotifNode>, remaining: usize, out: &mut Vec<SpanningPath>) {
@@ -61,27 +68,27 @@ pub struct CensusRow {
 flowmotif_util::impl_to_json!(CensusRow { shape, instances, structural_matches });
 
 /// Counts the maximal instances of *every* walk shape with `num_edges`
-/// edges in `g`, under a common `δ`/`ϕ`. Rows are sorted by instance
-/// count, descending. Uses the shared-prefix search for speed.
-pub fn walk_census(
-    g: &TimeSeriesGraph,
+/// edges in `g`, under a common `δ`/`ϕ`. Each shape runs once through
+/// the parallel two-phase search, whose P1 match count fills the
+/// `structural_matches` column. Rows are sorted by instance count,
+/// descending (ties keep the [`all_walk_shapes`] order). Fails on a size
+/// outside `1..=MAX_CENSUS_EDGES` or an invalid `δ`/`ϕ`.
+pub fn walk_census<G: GraphStore + Sync>(
+    g: &G,
     num_edges: usize,
     delta: Timestamp,
     phi: Flow,
-) -> Vec<CensusRow> {
-    let mut rows: Vec<CensusRow> = all_walk_shapes(num_edges)
-        .into_iter()
-        .map(|shape| {
-            let motif = Motif::new(shape.clone(), delta, phi).expect("valid census motif");
-            // The shared-prefix search never materialises whole matches,
-            // so count them separately (phase P1 is cheap).
-            let structural_matches = count_structural_matches(g, &shape);
-            let (instances, _) = count_instances_shared(g, &motif);
-            CensusRow { shape, instances, structural_matches }
-        })
-        .collect();
+    opts: SearchOptions,
+    par: ParOptions,
+) -> Result<Vec<CensusRow>, MotifError> {
+    let mut rows = Vec::new();
+    for shape in all_walk_shapes(num_edges)? {
+        let motif = Motif::new(shape.clone(), delta, phi)?;
+        let (instances, stats) = par_count_instances_with(g, &motif, opts, par);
+        rows.push(CensusRow { shape, instances, structural_matches: stats.structural_matches });
+    }
     rows.sort_by_key(|r| std::cmp::Reverse(r.instances));
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -93,19 +100,19 @@ mod tests {
     #[test]
     fn shape_counts_for_small_sizes() {
         // m=1: only 0-1.
-        assert_eq!(all_walk_shapes(1).len(), 1);
+        assert_eq!(all_walk_shapes(1).unwrap().len(), 1);
         // m=2: 0-1-0 and 0-1-2.
-        let s2: Vec<String> = all_walk_shapes(2).iter().map(|p| p.to_string()).collect();
+        let s2: Vec<String> = all_walk_shapes(2).unwrap().iter().map(|p| p.to_string()).collect();
         assert_eq!(s2, vec!["0-1-0", "0-1-2"]);
         // m=3: walks of length 3 with unique directed steps.
-        let s3: Vec<String> = all_walk_shapes(3).iter().map(|p| p.to_string()).collect();
+        let s3: Vec<String> = all_walk_shapes(3).unwrap().iter().map(|p| p.to_string()).collect();
         assert_eq!(s3, vec!["0-1-0-2", "0-1-2-0", "0-1-2-1", "0-1-2-3"]);
     }
 
     #[test]
     fn shapes_are_unique_and_valid() {
         for m in 1..=5 {
-            let shapes = all_walk_shapes(m);
+            let shapes = all_walk_shapes(m).unwrap();
             let mut keys: Vec<String> = shapes.iter().map(|p| p.to_string()).collect();
             let n = keys.len();
             keys.sort();
@@ -122,7 +129,7 @@ mod tests {
         // Every Fig. 3 motif appears among the census shapes of its size.
         for (name, walk) in CATALOG {
             let m = walk.len() - 1;
-            let shapes = all_walk_shapes(m);
+            let shapes = all_walk_shapes(m).unwrap();
             let target = SpanningPath::new(walk.to_vec()).unwrap();
             assert!(shapes.contains(&target), "{name} missing from census of size {m}");
         }
@@ -138,7 +145,9 @@ mod tests {
             (1, 0, 4, 5.0),
         ]);
         let g = b.build_time_series_graph();
-        let rows = walk_census(&g, 2, 10, 0.0);
+        let rows =
+            walk_census(&g, 2, 10, 0.0, SearchOptions::default(), ParOptions::with_threads(1))
+                .unwrap();
         // Shapes: 0-1-0 (ping-pong) and 0-1-2 (chain).
         assert_eq!(rows.len(), 2);
         let chain = rows.iter().find(|r| r.shape.to_string() == "0-1-2").unwrap();
@@ -154,8 +163,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one edge")]
-    fn zero_edges_panics() {
-        all_walk_shapes(0);
+    fn out_of_range_sizes_are_errors() {
+        assert_eq!(all_walk_shapes(0), Err(MotifError::CensusSize(0)));
+        assert_eq!(all_walk_shapes(MAX_CENSUS_EDGES + 1), Err(MotifError::CensusSize(9)));
+        assert!(!all_walk_shapes(MAX_CENSUS_EDGES).unwrap().is_empty());
     }
 }

@@ -32,6 +32,9 @@ pub enum MotifError {
     NegativeDelta(i64),
     /// `ϕ` must be non-negative and finite.
     InvalidPhi(f64),
+    /// A census size outside `1..=MAX_CENSUS_EDGES` (see
+    /// [`crate::census`]).
+    CensusSize(usize),
 }
 
 impl fmt::Display for MotifError {
@@ -52,6 +55,11 @@ impl fmt::Display for MotifError {
             MotifError::UnknownMotifName(s) => write!(f, "unknown motif name `{s}`"),
             MotifError::NegativeDelta(d) => write!(f, "duration constraint δ must be >= 0, got {d}"),
             MotifError::InvalidPhi(p) => write!(f, "flow constraint ϕ must be finite and >= 0, got {p}"),
+            MotifError::CensusSize(n) => write!(
+                f,
+                "census motif size must be 1..={} edges, got {n}",
+                crate::census::MAX_CENSUS_EDGES
+            ),
         }
     }
 }

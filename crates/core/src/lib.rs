@@ -44,7 +44,6 @@ pub mod analytics;
 pub mod catalog;
 pub mod census;
 pub mod cutoff;
-pub mod dag;
 pub mod delta;
 pub mod dp;
 pub mod enumerate;
@@ -55,7 +54,6 @@ pub mod matcher;
 pub mod motif;
 pub mod parallel;
 pub mod scratch;
-pub mod shared;
 pub mod topk;
 pub mod trace;
 pub mod validate;
@@ -75,7 +73,6 @@ pub use matcher::{
 };
 pub use motif::{Motif, MotifNode, SpanningPath};
 pub use scratch::SearchScratch;
-pub use shared::{count_instances_shared, enumerate_shared_with_sink};
 pub use trace::{AtomicTrace, PassRecord, TraceSink, TraceStage};
 
 // The search entry points are used from multi-threaded servers

@@ -41,7 +41,6 @@ pub mod metrics;
 mod mmap;
 pub mod multigraph;
 pub mod overlay;
-pub mod paths;
 pub mod segment;
 pub mod series;
 pub mod stats;

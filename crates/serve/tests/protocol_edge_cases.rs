@@ -53,6 +53,24 @@ fn bad_arity_and_unknown_commands() {
 }
 
 #[test]
+fn a_catalog_motif_with_a_bad_constraint_reports_that_constraint() {
+    let (server, _) = server(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for (line, needle) in [
+        ("query M(3,2) -5 0", "δ must be >= 0, got -5"),
+        ("count M(3,2) -5 0", "δ must be >= 0, got -5"),
+        ("subscribe M(3,2) -5 0", "δ must be >= 0, got -5"),
+        ("query M(3,3) 10 -1", "ϕ must be finite and >= 0, got -1"),
+    ] {
+        let reply = c.send(line).unwrap();
+        assert!(reply.status.starts_with("ERR query"), "{line}: {}", reply.status);
+        assert!(reply.status.contains(needle), "{line}: {}", reply.status);
+        assert!(!reply.status.contains("unknown motif name"), "{line}: {}", reply.status);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn oversized_query_window_is_refused_by_admission_control() {
     let (server, engine) = server(ServerConfig { max_window: Some(50), ..ServerConfig::default() });
     engine.ingest([(0u32, 1u32, 10i64, 5.0), (1, 2, 12, 4.0)]).unwrap();

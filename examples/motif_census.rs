@@ -1,8 +1,6 @@
 //! Exploration beyond the fixed catalog: run a census over *every* walk
-//! motif shape of a given size (FANMOD-style, paper §2), rank the most
-//! active vertex groups (§5.1 extensibility), and search a fork-shaped
-//! DAG motif (§7 future work) — the "split the money two ways" layering
-//! pattern path motifs cannot express.
+//! motif shape of a given size (FANMOD-style, paper §2) and rank the most
+//! active vertex groups (§5.1 extensibility).
 //!
 //! Run with: `cargo run --release --example motif_census`
 
@@ -18,7 +16,9 @@ fn main() {
     //    flow? (0-1-2-3 is the chain, 0-1-2-0 the triangle, 0-1-0-2 the
     //    bounce, ...)
     println!("\ncensus of all 3-edge walk shapes (δ={delta}, ϕ={phi}):");
-    for row in walk_census(&g, 3, delta, phi) {
+    let rows = walk_census(&g, 3, delta, phi, SearchOptions::default(), ParOptions::default())
+        .expect("a 3-edge census at the dataset defaults");
+    for row in rows {
         println!(
             "  {:<10} {:>6} instances   ({} structural matches)",
             row.shape.to_string(),
@@ -50,19 +50,4 @@ fn main() {
             println!("    t={:>6}: best window flow {:.1}", w.bucket_start, w.max_flow);
         }
     }
-
-    // 3. DAG motif: a fan-out 0 -> 1, then 1 -> 2 and 1 -> 3 — both
-    //    branches must carry >= ϕ after the inflow arrives, but the two
-    //    branches themselves are unordered.
-    let fork = DagMotif::new(vec![(0, 1), (1, 2), (1, 3)], delta, phi).unwrap();
-    let fork_hits = dag_count(&g, &fork);
-    println!("\nfork motif 0->1->{{2,3}}: {fork_hits} instances");
-
-    // Cross-check the DAG machinery against the path algorithm on a
-    // walk-shaped motif: both must agree exactly.
-    let path_m32 = catalog::by_name("M(3,2)", delta, phi).unwrap();
-    let dag_m32 = DagMotif::from_path(path_m32.path(), delta, phi).unwrap();
-    let (n_path, _) = count_instances(&g, &path_m32);
-    assert_eq!(n_path, dag_count(&g, &dag_m32));
-    println!("DAG engine agrees with the path engine on M(3,2): {n_path} instances ✓");
 }

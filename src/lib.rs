@@ -66,12 +66,10 @@ pub mod prelude {
         analytics::{per_match_activity, per_match_top1, window_top1_series, MatchActivity},
         catalog,
         census::{all_walk_shapes, walk_census, CensusRow},
-        count_instances, count_instances_in_window, count_instances_shared,
-        count_structural_matches,
-        dag::{dag_count, dag_enumerate, DagMotif},
+        count_instances, count_instances_in_window, count_structural_matches,
         dp::{dp_max_flow, dp_top1},
         enumerate_all, enumerate_all_in_window, find_structural_matches,
-        parallel::{par_count_instances, par_enumerate_all, par_top_k},
+        parallel::{par_count_instances, par_enumerate_all, par_top_k, ParOptions},
         topk::{kth_instance_flow, top_k},
         EdgeSet, ExtensionOrder, Motif, MotifInstance, P1Driver, SearchOptions, SearchStats,
         SpanningPath, StructuralMatch,
