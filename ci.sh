@@ -90,8 +90,10 @@ stage_out_of_core() {
   # the edge list (built into an in-memory segment) for the enumeration,
   # top-k, top-1 and census pipelines — also at `--threads 2`, where
   # the `find` sample, the top-k tie order and the census rows must not
-  # depend on the schedule. The edge-list parser's differential loop
-  # then runs with a larger budget than the test stage gives it. The memory
+  # depend on the schedule, and the edge-list searches at `--threads 1`
+  # and `3`, where the in-memory build is split across workers. The
+  # edge-list parser's differential loop then runs with a larger budget
+  # than the test stage gives it. The memory
   # side of the story is enforced by `benches/out_of_core.rs` in the
   # bench-regression stage above: it runs the packed search under an
   # allocator-enforced heap budget 4x smaller than the segment and
@@ -144,6 +146,26 @@ stage_out_of_core() {
     echo "topk --k 1 flow '${_k1}' differs from top1 flow '${_top1}'"
     exit 1
   fi
+  # The in-memory build splits the parse, the sort and the section
+  # writes across --threads workers: no answer may depend on the count,
+  # also on a copy of the edge list with CRLF line ends and comment and
+  # blank lines between the records, which must answer as the original.
+  awk '{ printf "%s\r\n", $0; if (NR % 7 == 0) printf "# comment %d\r\n\r\n", NR }' \
+    "${_dir}/edges.txt" >"${_dir}/edges-crlf.txt"
+  for _edges in edges edges-crlf; do
+    for _t in 1 3; do
+      "${_fm}" find "${_dir}/${_edges}.txt" --motif "M(3,2)" --delta 3600 --phi 5 --show 5 \
+        --threads "${_t}" >"${_dir}/${_edges}-find-t${_t}.txt"
+      "${_fm}" topk "${_dir}/${_edges}.txt" --motif "M(3,2)" --delta 3600 --k 10 \
+        --threads "${_t}" >"${_dir}/${_edges}-topk-t${_t}.txt"
+      "${_fm}" top1 "${_dir}/${_edges}.txt" --motif "M(3,2)" --delta 3600 \
+        --threads "${_t}" >"${_dir}/${_edges}-top1-t${_t}.txt"
+    done
+    for _job in find topk top1; do
+      cmp "${_dir}/${_edges}-${_job}-t1.txt" "${_dir}/${_edges}-${_job}-t3.txt"
+      cmp "${_dir}/edges-${_job}-t1.txt" "${_dir}/${_edges}-${_job}-t1.txt"
+    done
+  done
   FLOWMOTIF_PARSE_FUZZ_ITERS=200000 cargo test -q --release --offline -p flowmotif-graph \
     byte_parser_agrees_with_the_text_parser
 }

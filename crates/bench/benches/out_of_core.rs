@@ -163,10 +163,12 @@ fn main() {
     }
 
     // Timed: the load step of `find`/`topk`/`top1` on an edge list —
-    // parse, sort and build the segment image in memory.
-    group.bench("load/edge_list_to_segment", move || {
-        black_box(load_segment(&edges).unwrap().image().len())
-    });
+    // parse, sort and build the segment image in memory — on one build
+    // thread, then on two (`--threads 2`).
+    for (name, threads) in [("load/edge_list_to_segment", 1), ("load/edge_list_to_segment_t2", 2)] {
+        let edges = edges.clone();
+        group.bench(name, move || black_box(load_segment(&edges, threads).unwrap().image().len()));
+    }
 
     // Epoch publish over the sealed segment: cost must track the delta,
     // not the tens of thousands of resident pairs. Each iteration appends a small batch

@@ -15,6 +15,7 @@ use flowmotif_stream::{QueryEngine, SlidingWindow, SnapshotEngine};
 use flowmotif_util::json;
 use std::io::{BufRead, Write};
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Runs the parsed CLI, writing output to `out`. Returns a process exit
 /// code.
@@ -41,22 +42,27 @@ fn load(path: &Path) -> Result<TimeSeriesGraph, String> {
     io::load_time_series_graph(path).map_err(|e| format!("loading {}: {e}", path.display()))
 }
 
-/// The graph find/topk/top1/census search: a segment either way. With
-/// `--packed`, `path` is a segment directory (or `graph.seg` file)
-/// produced by `flowmotif pack`, and every mapped page is touched once
-/// before the search (phase P1 hops the adjacency sections in graph
-/// order, and sequential faulting beats faulting on demand on a cold
-/// map; see the `out_of_core` bench). Otherwise the edge list is built
-/// into the same segment image in memory, so `--packed` only skips the
-/// parse and the sort.
-fn search_graph(path: &Path, cli: &Cli) -> Result<SegmentStore, String> {
-    if !cli.packed {
-        return io::load_segment(path).map_err(|e| format!("loading {}: {e}", path.display()));
-    }
-    let store = SegmentStore::open(path)
-        .map_err(|e| format!("opening packed graph {}: {e}", path.display()))?;
-    store.prefetch();
-    Ok(store)
+/// The graph find/topk/top1/census search: a segment either way, and
+/// the time it took to load. With `--packed`, `path` is a segment
+/// directory (or `graph.seg` file) produced by `flowmotif pack`, and
+/// every mapped page is touched once before the search (phase P1 hops
+/// the adjacency sections in graph order, and sequential faulting beats
+/// faulting on demand on a cold map; see the `out_of_core` bench).
+/// Otherwise the edge list is built into the same segment image in
+/// memory on `--threads` workers, so `--packed` only skips the parse and
+/// the sort.
+fn search_graph(path: &Path, cli: &Cli) -> Result<(SegmentStore, Duration), String> {
+    let started = Instant::now();
+    let store = if cli.packed {
+        let store = SegmentStore::open(path)
+            .map_err(|e| format!("opening packed graph {}: {e}", path.display()))?;
+        store.prefetch();
+        store
+    } else {
+        io::load_segment(path, cli.threads)
+            .map_err(|e| format!("loading {}: {e}", path.display()))?
+    };
+    Ok((store, started.elapsed()))
 }
 
 fn motif_of(cli: &Cli) -> Result<Motif, String> {
@@ -89,23 +95,39 @@ fn traced_options(cli: &Cli, trace: Option<&'static AtomicTrace>) -> SearchOptio
 }
 
 /// Prints the per-stage breakdown collected by a `--profile` run: the
-/// graph load (parse, sort and segment build, or the open of a packed
-/// segment), the search's wall-clock time, each stage's time and work
-/// count, then per-worker task/busy figures when the search ran on more
-/// than one worker, then one line per cutoff pass of a ranking search
+/// graph load (the open of a packed segment, or the in-memory build
+/// split into its parse, sort and build phases with its worker count),
+/// the search's wall-clock time, each stage's time and work count, then
+/// per-worker task/busy figures when the search ran on more than one
+/// worker, then one line per cutoff pass of a ranking search
 /// (`topk`/`top1`): its pair-flow floor, the pairs that floor admits and
 /// the results the pass found.
 fn write_profile<W: Write>(
     out: &mut W,
     trace: Option<&'static AtomicTrace>,
-    started: Option<std::time::Instant>,
-    load: std::time::Duration,
-    interactions: usize,
+    started: Option<Instant>,
+    g: &SegmentStore,
+    load: Duration,
 ) {
     let (Some(trace), Some(started)) = (trace, started) else { return };
     let total = started.elapsed();
-    writeln!(out, "profile: load {:.3} ms ({interactions} interactions)", load.as_secs_f64() * 1e3)
-        .ok();
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let phases = g.build_profile().map_or(String::new(), |p| {
+        format!(
+            "; parse {:.3} ms, sort {:.3} ms, build {:.3} ms, {} threads",
+            ms(p.parse),
+            ms(p.sort),
+            ms(p.build),
+            p.threads
+        )
+    });
+    writeln!(
+        out,
+        "profile: load {:.3} ms ({} interactions{phases})",
+        ms(load),
+        g.num_interactions()
+    )
+    .ok();
     writeln!(out, "profile: total {:.3} ms", total.as_secs_f64() * 1e3).ok();
     writeln!(out, "  {:<5} {:>12} {:>12}", "stage", "time_ms", "count").ok();
     for stage in [TraceStage::P1, TraceStage::P2, TraceStage::Dp] {
@@ -149,20 +171,11 @@ fn stats<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
 }
 
 fn find<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    let started = std::time::Instant::now();
-    let g = search_graph(path, cli)?;
-    find_in(&g, cli, started.elapsed(), out)
-}
-
-fn find_in<G: GraphStore + Sync, W: Write>(
-    g: &G,
-    cli: &Cli,
-    load: std::time::Duration,
-    out: &mut W,
-) -> Result<(), String> {
+    let (g, load) = search_graph(path, cli)?;
+    let g = &g;
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
-    let started = trace.map(|_| std::time::Instant::now());
+    let started = trace.map(|_| Instant::now());
     // Counted, not collected: only the `--show` sample is kept, and it
     // is the first instances in scan order at any thread count.
     let (total, sample, stats) =
@@ -201,7 +214,7 @@ fn find_in<G: GraphStore + Sync, W: Write>(
         )
         .ok();
     }
-    write_profile(out, trace, started, load, g.num_interactions());
+    write_profile(out, trace, started, g, load);
     Ok(())
 }
 
@@ -209,22 +222,13 @@ fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     if cli.k == 0 {
         return Err("--k must be at least 1".into());
     }
-    let started = std::time::Instant::now();
-    let g = search_graph(path, cli)?;
-    topk_in(&g, cli, started.elapsed(), out)
-}
-
-fn topk_in<G: GraphStore + Sync, W: Write>(
-    g: &G,
-    cli: &Cli,
-    load: std::time::Duration,
-    out: &mut W,
-) -> Result<(), String> {
+    let (g, load) = search_graph(path, cli)?;
+    let g = &g;
     // §5: top-k ranks by flow with ϕ = 0 (any --phi is still honoured as
     // a floor if explicitly set).
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
-    let started = trace.map(|_| std::time::Instant::now());
+    let started = trace.map(|_| Instant::now());
     let (ranked, _) = par_top_k_with(g, &motif, cli.k, traced_options(cli, trace), par_of(cli));
     if cli.json {
         let rows: Vec<_> = ranked
@@ -249,25 +253,16 @@ fn topk_in<G: GraphStore + Sync, W: Write>(
     if ranked.is_empty() {
         writeln!(out, "  (no instances)").ok();
     }
-    write_profile(out, trace, started, load, g.num_interactions());
+    write_profile(out, trace, started, g, load);
     Ok(())
 }
 
 fn top1<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    let started = std::time::Instant::now();
-    let g = search_graph(path, cli)?;
-    top1_in(&g, cli, started.elapsed(), out)
-}
-
-fn top1_in<G: GraphStore, W: Write>(
-    g: &G,
-    cli: &Cli,
-    load: std::time::Duration,
-    out: &mut W,
-) -> Result<(), String> {
+    let (g, load) = search_graph(path, cli)?;
+    let g = &g;
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
-    let started = trace.map(|_| std::time::Instant::now());
+    let started = trace.map(|_| Instant::now());
     let (best, stats) =
         dp_top1_with(g, &motif, traced_options(cli, trace), &mut SearchScratch::default());
     match best {
@@ -295,7 +290,7 @@ fn top1_in<G: GraphStore, W: Write>(
             writeln!(out, "no instances").ok();
         }
     }
-    write_profile(out, trace, started, load, g.num_interactions());
+    write_profile(out, trace, started, g, load);
     Ok(())
 }
 
@@ -340,8 +335,12 @@ fn significance<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), Str
 }
 
 fn census<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    let g = search_graph(path, cli)?;
-    let rows = walk_census(&g, cli.edges, cli.delta, cli.phi, search_options_of(cli), par_of(cli))
+    let (g, load) = search_graph(path, cli)?;
+    let trace = profile_trace(cli);
+    let started = trace.map(|_| Instant::now());
+    let mut opts = search_options_of(cli);
+    opts.trace = trace.map(|t| t as _);
+    let rows = walk_census(&g, cli.edges, cli.delta, cli.phi, opts, par_of(cli))
         .map_err(|e| e.to_string())?;
     if cli.json {
         writeln!(out, "{}", flowmotif_util::to_string_pretty(&rows)).ok();
@@ -359,6 +358,7 @@ fn census<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
         )
         .ok();
     }
+    write_profile(out, trace, started, &g, load);
     Ok(())
 }
 
@@ -1121,11 +1121,33 @@ stats
         assert!(with_index.contains("1 maximal instances"), "{with_index}");
     }
 
+    /// The `profile: load` line of `out`, with its numbers blanked.
+    fn load_line(out: &str) -> String {
+        let line = out.lines().find(|l| l.starts_with("profile: load ")).expect(out);
+        line.split(' ')
+            .map(
+                |w| {
+                    if w.contains(|c: char| c.is_ascii_digit()) && w.contains('.') {
+                        "_"
+                    } else {
+                        w
+                    }
+                },
+            )
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
     #[test]
     fn profile_flag_prints_stage_breakdown() {
         let f = temp_edge_list();
         let (out, r) = run_args(&["find", f.to_str(), "--profile", "--threads", "2"]);
         r.unwrap();
+        assert_eq!(
+            load_line(&out),
+            "profile: load _ ms (10 interactions; parse _ ms, sort _ ms, build _ ms, 2 threads)",
+            "{out}"
+        );
         assert!(out.contains("profile: total"), "{out}");
         assert!(out.contains("p1"), "{out}");
         assert!(out.contains("p2"), "{out}");
@@ -1143,6 +1165,50 @@ stats
         let (without, _) = run_args(&["find", f.to_str()]);
         assert!(!without.contains("profile:"), "{without}");
         assert_eq!(with_flag.split("profile:").next().unwrap(), without);
+        assert!(load_line(&with_flag).ends_with(", 1 threads)"), "{with_flag}");
+        // A packed segment is opened, not built: no phases.
+        let (_edges, dir) = packed_fig2();
+        let (out, r) = run_args(&["topk", dir.0.to_str().unwrap(), "--packed", "--profile"]);
+        r.unwrap();
+        assert_eq!(load_line(&out), "profile: load _ ms (10 interactions)", "{out}");
+    }
+
+    #[test]
+    fn census_profile_prints_the_load_and_the_stages() {
+        let f = temp_edge_list();
+        let args = ["census", f.to_str(), "--edges", "2", "--delta", "10", "--threads", "2"];
+        let (plain, r) = run_args(&args);
+        r.unwrap();
+        let (out, r) = run_args(&[&args[..], &["--profile"]].concat());
+        r.unwrap();
+        assert_eq!(out.split("profile:").next().unwrap(), plain);
+        assert!(load_line(&out).ends_with(", 2 threads)"), "{out}");
+        assert!(out.contains("profile: total"), "{out}");
+        assert!(out.contains("  p1 "), "{out}");
+        assert!(out.contains("  p2 "), "{out}");
+        assert!(out.contains("  worker 1: tasks="), "{out}");
+    }
+
+    #[test]
+    fn topk_takes_any_k_and_ranks_every_instance() {
+        let f = temp_edge_list();
+        let motif = ["--motif", "M(3,2)", "--delta", "10"];
+        let (found, r) = run_args(&[&["find", f.to_str()], &motif[..]].concat());
+        r.unwrap();
+        let head = found.lines().next().unwrap();
+        let total: usize =
+            head.rsplit(", ").next().unwrap().split(' ').next().unwrap().parse().unwrap();
+        assert!(total > 1, "{found}");
+        let k = usize::MAX.to_string();
+        let (out, r) = run_args(&[&["topk", f.to_str(), "--k", &k], &motif[..]].concat());
+        r.unwrap();
+        assert_eq!(out.lines().filter(|l| l.starts_with("  #")).count(), total, "{out}");
+        let (all, _) =
+            run_args(&[&["topk", f.to_str(), "--k", &total.to_string()], &motif[..]].concat());
+        assert_eq!(
+            out.lines().skip(1).collect::<Vec<_>>(),
+            all.lines().skip(1).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -55,7 +55,10 @@ OPTIONS (find/topk/top1/census/significance):
   --delta <int>           duration constraint δ                             [600]
   --phi <float>           flow constraint ϕ                                 [0]
   --k <int>               result count for topk                             [10]
-  --threads <int>         worker threads (0 = all cores)                    [1]
+  --threads <int>         worker threads (0 = all cores) of the search and,
+                          for find/topk/top1/census on an edge list, of
+                          the in-memory segment build (parse, sort,
+                          section writes; same image at any count)          [1]
   --hub-degree <int>      split origins with more out-neighbours than this
                           across workers (0 = never split)                  [128]
   --show <int>            print up to N instances: the first N in scan
@@ -69,12 +72,14 @@ OPTIONS (find/topk/top1/census/significance):
                           census). Without it the edge list is built into
                           the same segment in memory, so --packed only
                           skips the parse and the sort
-  --profile               print a per-stage breakdown (graph load, P1
+  --profile               print a per-stage breakdown (graph load, split
+                          into parse/sort/build for an edge list, P1
                           match scan, P2 enumeration, DP solve, per-worker
-                          load) after the results (find/search, topk, top1),
-                          then one `profile: pass` line per cutoff pass of
-                          topk/top1 (its pair-flow floor, the pairs it
-                          admits, the results it found)
+                          load) after the results (find/search, topk,
+                          top1, census), then one `profile: pass` line
+                          per cutoff pass of topk/top1 (its pair-flow
+                          floor, the pairs it admits, the results it
+                          found)
   --extension-order <ord> how P1 picks the motif edge extending each
                           prefix: cardinality (worst-case-optimal) or
                           fixed (the paper's walk order, for A/B runs);

@@ -67,6 +67,9 @@ impl Ord for HeapEntry {
     }
 }
 
+/// Entries a [`TopKSink`] reserves room for up front.
+const PRESIZED_ENTRIES: usize = 64;
+
 /// Sink maintaining the top-k instances in [`rank_order`] with a
 /// floating threshold.
 ///
@@ -96,9 +99,12 @@ impl TopKSink {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "top-k search needs k >= 1");
-        // At most `k` entries ever exist (heap + pool combined), so the
-        // pre-sized pool never reallocates on `reset`.
-        Self { k, heap: BinaryHeap::with_capacity(k + 1), pool: Vec::with_capacity(k) }
+        // At most `k` entries ever exist (heap + pool combined), so for
+        // `k <= PRESIZED_ENTRIES` the pre-sized pool never reallocates
+        // on `reset`. A larger `k` (any `usize` is accepted) grows both
+        // on demand instead of asking for `k` entries up front.
+        let n = k.min(PRESIZED_ENTRIES);
+        Self { k, heap: BinaryHeap::with_capacity(n + 1), pool: Vec::with_capacity(n) }
     }
 
     /// Flow of the current `k`-th best instance, or `-∞` while fewer
@@ -313,6 +319,20 @@ mod tests {
     #[should_panic(expected = "k >= 1")]
     fn k_zero_panics() {
         TopKSink::new(0);
+    }
+
+    #[test]
+    fn a_k_beyond_any_allocation_ranks_every_instance() {
+        let g = chain_graph();
+        let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
+        let mut sink = TopKSink::new(usize::MAX);
+        assert_eq!(sink.kth_flow(), f64::NEG_INFINITY);
+        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut sink);
+        let all = sink.into_sorted();
+        let flows: Vec<f64> = all.iter().map(|r| r.instance.flow).collect();
+        assert_eq!(flows, vec![9.0, 5.0, 2.0], "every instance, in rank order");
+        assert_eq!(top_k(&g, &m, usize::MAX).0, all);
+        assert_eq!(top_k(&g, &m, 3).0, all);
     }
 
     #[test]

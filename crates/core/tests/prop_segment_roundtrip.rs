@@ -167,7 +167,8 @@ fn messy_edge_list(rng: &mut StdRng, nodes: u32, events: usize) -> String {
 
 /// The segment image built in memory from an edge list is byte for byte
 /// the `graph.seg` that `pack` writes (at any sort-run size) and that
-/// `write_segment` writes from the heap graph, and it searches the same.
+/// `write_segment` writes from the heap graph, at one build thread and
+/// at three, and it searches the same.
 #[test]
 fn in_memory_image_is_byte_identical_to_pack_and_write_segment() {
     for seed in 0..10u64 {
@@ -179,7 +180,10 @@ fn in_memory_image_is_byte_identical_to_pack_and_write_segment() {
         std::fs::write(&edges.0, &body).unwrap();
 
         let built = SegmentStore::from_edge_list(body.as_bytes()).unwrap();
-        assert_eq!(load_segment(&edges.0).unwrap().image(), built.image(), "seed {seed}");
+        for threads in [1, 3] {
+            let loaded = load_segment(&edges.0, threads).unwrap();
+            assert!(loaded.image() == built.image(), "seed {seed}: {threads} threads differ");
+        }
         for run_records in [5, 1 << 20] {
             let dir = Temp(unique_path("messy_pack"));
             pack_edge_list(&edges.0, &dir.0, run_records).unwrap();

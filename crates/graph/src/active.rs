@@ -282,6 +282,30 @@ impl IndexBuilder {
         }
     }
 
+    /// Appends the buckets of a builder that noted only origins above
+    /// every origin noted here, over the same preset span: the result
+    /// equals one builder noting this builder's events, then `later`'s.
+    ///
+    /// # Panics
+    /// Panics unless both builders are still dense over the same span
+    /// or `later` noted nothing — which holds for builders over the exact
+    /// span of the events they note.
+    pub fn append(&mut self, later: IndexBuilder) {
+        match (&mut self.state, later.state) {
+            (
+                BuildState::Dense { shift, first, buckets, last_origin },
+                BuildState::Dense { shift: s, first: f, buckets: more, last_origin: l },
+            ) if (*shift, *first) == (s, f) => {
+                for (b, m) in buckets.iter_mut().zip(more) {
+                    b.extend(m);
+                }
+                *last_origin = (*last_origin).max(l);
+            }
+            (_, BuildState::Sparse(index)) if index.num_buckets() == 0 => {}
+            _ => panic!("appended index builders must stay dense over one preset span"),
+        }
+    }
+
     /// The dense buckets as an index (leaves the builder empty).
     fn take_dense(&mut self) -> ActiveOriginIndex {
         match &mut self.state {

@@ -132,6 +132,15 @@ impl NodeIdRange {
         }
     }
 
+    /// Folds in the range of a later part of the input, whose line
+    /// numbers start after `lines_before` lines: the result is what
+    /// seeing both parts in order would have recorded.
+    pub(crate) fn merge(&mut self, later: NodeIdRange, lines_before: usize) {
+        if let Some((id, line)) = later.max {
+            self.see(id, id, line + lines_before);
+        }
+    }
+
     /// The node count (largest id + 1), or [`GraphError::SparseNodeId`]
     /// when it exceeds [`max_dense_nodes`] for `interactions`.
     pub(crate) fn num_nodes(&self, interactions: usize) -> Result<usize, GraphError> {

@@ -5,15 +5,20 @@
 //! ignored. This covers the usual distribution format of temporal-network
 //! datasets (SNAP, KONECT) with an extra flow column.
 
-use crate::builder::{GraphBuilder, NodeIdRange};
+use crate::builder::{check_interaction, GraphBuilder, NodeIdRange};
 use crate::error::GraphError;
+use crate::event::{Flow, NodeId, Timestamp};
+use crate::mmap::Mmap;
 use crate::multigraph::TemporalMultigraph;
 use crate::segment::SegmentStore;
 use crate::tsgraph::TimeSeriesGraph;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-fn parse_line(line: &str, lineno: usize) -> Result<Option<(u32, u32, i64, f64)>, GraphError> {
+/// One edge-list record: `(from, to, time, flow)`.
+pub(crate) type Record = (NodeId, NodeId, Timestamp, Flow);
+
+fn parse_line(line: &str, lineno: usize) -> Result<Option<Record>, GraphError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
         return Ok(None);
@@ -115,7 +120,7 @@ impl<'a> Fields<'a> {
 /// that its answers and errors stay exactly the same. Flows of at most
 /// 15 digits are exact as `u64 as f64` (below 2^53); other flows go
 /// through `str::parse::<f64>`, as in `parse_line`.
-fn parse_record(line: &[u8]) -> Option<Option<(u32, u32, i64, f64)>> {
+fn parse_record(line: &[u8]) -> Option<Option<Record>> {
     match line.iter().find(|&&b| !is_space(b)) {
         None => return Some(None), // blank
         // A comment must still be valid UTF-8, as `read_line` demands.
@@ -150,6 +155,102 @@ fn invalid_utf8() -> GraphError {
         .into()
 }
 
+/// Parses one line (with its `\n`, if any) on 1-based line `lineno`:
+/// the fast path, else the text parser. `None` is a comment or a blank
+/// line.
+fn parse_any(line: &[u8], lineno: usize) -> Result<Option<Record>, GraphError> {
+    match parse_record(line) {
+        Some(rec) => Ok(rec),
+        None => match std::str::from_utf8(line) {
+            Ok(text) => parse_line(text, lineno),
+            Err(_) => Err(invalid_utf8()),
+        },
+    }
+}
+
+/// A newline-aligned chunk of an edge list, parsed and validated:
+/// its records in input order, the node ids and times they span, its
+/// line count, and its first error (parsing stops there). Line numbers
+/// in `ids` and `error` count from the chunk's first line.
+#[derive(Debug)]
+pub(crate) struct ParsedChunk {
+    pub(crate) records: Vec<Record>,
+    pub(crate) ids: NodeIdRange,
+    pub(crate) span: Option<(Timestamp, Timestamp)>,
+    pub(crate) lines: usize,
+    pub(crate) error: Option<GraphError>,
+}
+
+impl ParsedChunk {
+    /// The chunk's error as reported for the whole input, where
+    /// `lines_before` lines precede the chunk.
+    pub(crate) fn take_error(&mut self, lines_before: usize) -> Option<GraphError> {
+        self.error.take().map(|e| match e {
+            GraphError::Parse { line, message } => {
+                GraphError::Parse { line: line + lines_before, message }
+            }
+            e => e,
+        })
+    }
+}
+
+/// The index of the first `\n` in `bytes`, eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (ONES * u64::from(b'\n'));
+        // A byte of `w` is zero where the input holds `\n`. This flags
+        // the first zero byte exactly (a borrow can only flag bytes after
+        // it), and the lowest flag is the earliest byte.
+        let zero = w.wrapping_sub(ONES) & !w & HIGHS;
+        if zero != 0 {
+            return Some(8 * i + (zero.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|at| bytes.len() - tail.len() + at)
+}
+
+/// Parses `bytes` (whole lines, the last one possibly without `\n`) as
+/// a sequential read of them would: each line through the fast path or
+/// the text parser, each record through [`check_interaction`], up to
+/// the first error.
+pub(crate) fn parse_chunk(bytes: &[u8]) -> ParsedChunk {
+    let mut records = Vec::new();
+    let mut ids = NodeIdRange::default();
+    let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
+    let mut lines = 0;
+    let mut error = None;
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let len = find_newline(rest).map_or(rest.len(), |at| at + 1);
+        let (line, tail) = rest.split_at(len);
+        rest = tail;
+        lines += 1;
+        let checked = parse_any(line, lines).and_then(|rec| match rec {
+            Some((u, v, _, f)) => check_interaction(u, v, f, false).map(|()| rec),
+            None => Ok(None),
+        });
+        match checked {
+            Ok(Some((u, v, t, f))) => {
+                ids.see(u, v, lines);
+                lo = lo.min(t);
+                hi = hi.max(t);
+                records.push((u, v, t, f));
+            }
+            Ok(None) => {}
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
+        }
+    }
+    let span = (!records.is_empty()).then_some((lo, hi));
+    ParsedChunk { records, ids, span, lines, error }
+}
+
 /// Streaming iterator over the `(from, to, time, flow)` records of an
 /// edge list: one buffered line at a time, never the whole file.
 /// Comments and blank lines are skipped; parse failures surface as
@@ -181,7 +282,7 @@ impl<R: Read> EdgeListRecords<R> {
 }
 
 impl<R: Read> Iterator for EdgeListRecords<R> {
-    type Item = Result<(u32, u32, i64, f64), GraphError>;
+    type Item = Result<Record, GraphError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -206,14 +307,8 @@ impl<R: Read> Iterator for EdgeListRecords<R> {
                 Ok(0) => return None,
                 Ok(_) => {}
             }
-            let parsed = match parse_record(&self.line) {
-                Some(rec) => Ok(rec),
-                None => match std::str::from_utf8(&self.line) {
-                    Ok(text) => parse_line(text, self.lineno + 1),
-                    Err(_) => return Some(Err(invalid_utf8())),
-                },
-            };
             self.lineno += 1;
+            let parsed = parse_any(&self.line, self.lineno);
             match parsed {
                 Err(e) => return Some(Err(e)),
                 Ok(Some(rec)) => return Some(Ok(rec)),
@@ -254,14 +349,29 @@ pub fn load_time_series_graph<P: AsRef<Path>>(path: P) -> Result<TimeSeriesGraph
     Ok(builder.build_time_series_graph())
 }
 
-/// Builds an edge-list file into an in-memory segment
-/// ([`SegmentStore::from_edge_list`]): the flat, read-only layout the
-/// search commands run on, byte-identical to what `pack` writes. Errors
-/// carry the file path, as [`load_time_series_graph`]'s do.
-pub fn load_segment<P: AsRef<Path>>(path: P) -> Result<SegmentStore, GraphError> {
+/// Builds an edge-list file into an in-memory segment on `threads`
+/// workers (`0` = all cores; see [`crate::image`]): the
+/// flat, read-only layout the search commands run on, byte-identical to
+/// what `pack` writes at any thread count. A regular file is mapped,
+/// not copied, and unmapped once parsed; anything else (a pipe, a
+/// device) is read to the end. Errors carry the file path, as
+/// [`load_time_series_graph`]'s do.
+pub fn load_segment<P: AsRef<Path>>(path: P, threads: usize) -> Result<SegmentStore, GraphError> {
     let path = path.as_ref();
     let file = open_with_context(path)?;
-    SegmentStore::from_edge_list(file).map_err(|e| e.in_file(path))
+    let built = match file.metadata() {
+        Ok(meta) if meta.is_file() => Mmap::map(&file)
+            .map_err(GraphError::from)
+            .and_then(|map| crate::image::build_threaded(map, threads)),
+        _ => {
+            let mut bytes = Vec::new();
+            (&file)
+                .read_to_end(&mut bytes)
+                .map_err(GraphError::from)
+                .and_then(|_| crate::image::build_threaded(bytes, threads))
+        }
+    };
+    built.map_err(|e| e.in_file(path))
 }
 
 /// Loads a raw multigraph from an edge-list file. Errors carry the file
@@ -575,6 +685,21 @@ mod tests {
                 "iteration {i}: {:?}",
                 String::from_utf8_lossy(&doc)
             );
+        }
+    }
+
+    #[test]
+    fn find_newline_finds_the_first_newline_anywhere() {
+        for len in 0..40 {
+            let mut bytes = vec![b'x'; len];
+            assert_eq!(find_newline(&bytes), None, "len {len}");
+            for at in (0..len).rev() {
+                bytes[at] = b'\n';
+                assert_eq!(find_newline(&bytes), Some(at), "len {len}");
+            }
+            // Bytes one off `\n` on either side are not newlines.
+            bytes.iter_mut().for_each(|b| *b = [0x09, 0x0b, 0x8a, 0xff][len % 4]);
+            assert_eq!(find_newline(&bytes), None, "len {len}");
         }
     }
 

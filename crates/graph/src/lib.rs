@@ -36,6 +36,7 @@ pub mod active;
 pub mod builder;
 pub mod error;
 pub mod event;
+pub mod image;
 pub mod io;
 pub mod metrics;
 mod mmap;
@@ -52,6 +53,7 @@ pub use active::ActiveOriginIndex;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use event::{Event, Flow, NodeId, PairId, Timestamp};
+pub use image::BuildProfile;
 pub use multigraph::{Interaction, TemporalMultigraph};
 pub use overlay::OverlayStore;
 pub use segment::{pack_edge_list, write_segment, PackStats, SegmentStore, SegmentWriter};

@@ -121,6 +121,12 @@ impl Mmap {
     }
 }
 
+impl AsRef<[u8]> for Mmap {
+    fn as_ref(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
 /// `words` as bytes: `u8` has no alignment requirement, and every bit
 /// pattern is a valid `u64`.
 pub(crate) fn bytes_of_mut(words: &mut [u64]) -> &mut [u8] {

@@ -39,20 +39,20 @@
 //! activity index construction), which is what makes search results on
 //! the two backends bit-identical.
 //!
-//! [`SegmentWriter`] writes a segment pair by pair into spill files or
-//! into one image in memory. [`pack_edge_list`] feeds the spilling
-//! writer from an external merge sort over bounded-memory sorted runs —
-//! packing never materialises the graph — and
-//! [`SegmentStore::from_edge_list`] sorts the records in memory, writes
-//! the image in place and opens it, with no file in between; both give
-//! the same bytes.
+//! [`SegmentWriter`] writes a segment pair by pair into spill files.
+//! [`pack_edge_list`] feeds it from an external merge sort over
+//! bounded-memory sorted runs — packing never materialises the graph —
+//! and [`SegmentStore::from_edge_list`] sorts the records in memory,
+//! writes the image in place on several workers ([`crate::image`]) and
+//! opens it, with no file in between; both give the same bytes.
 
 use crate::active::{ActiveOriginIndex, IndexBuilder};
 use crate::builder::{check_interaction, NodeIdRange};
 use crate::error::GraphError;
 use crate::event::{Event, Flow, NodeId, PairId, Timestamp};
+use crate::image::BuildProfile;
 use crate::io::EdgeListRecords;
-use crate::mmap::{bytes_of_mut, Mmap};
+use crate::mmap::Mmap;
 use crate::series::SeriesRef;
 use crate::tsgraph::TimeSeriesGraph;
 use crate::window::TimeWindow;
@@ -72,10 +72,10 @@ const MAGIC: [u8; 8] = *b"FLOWSEG1";
 /// Version-1 files are rejected; re-run `flowmotif pack` to upgrade.
 const VERSION: u64 = 2;
 /// magic + 20 u64/i64 header words (see the layout above).
-const HEADER_LEN: usize = 8 + 20 * 8;
+pub(crate) const HEADER_LEN: usize = 8 + 20 * 8;
 /// Sentinel span of an origin with no out-edge interactions (matches the
 /// in-memory representation).
-const EMPTY_SPAN: (Timestamp, Timestamp) = (Timestamp::MAX, Timestamp::MIN);
+pub(crate) const EMPTY_SPAN: (Timestamp, Timestamp) = (Timestamp::MAX, Timestamp::MIN);
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -115,23 +115,19 @@ pub fn segment_path(path: &Path) -> PathBuf {
 
 /// Writes a segment pair by pair (pairs strictly ascending by
 /// `(origin, target)`, events non-decreasing by time within a pair —
-/// exactly the order [`TimeSeriesGraph`] stores) into one of two sinks:
+/// exactly the order [`TimeSeriesGraph`] stores) into temporary spill
+/// files next to the target, one per section, and concatenates them
+/// behind the header on [`SegmentWriter::finish`]. Resident state is
+/// O(index + pairs + constants): the transposed adjacency keeps one
+/// 8-byte `(target, origin)` entry per pair until `finish` spills it,
+/// still far below O(interactions).
 ///
-/// * [`SegmentWriter::create`] streams the sections into temporary spill
-///   files next to the target and concatenates them behind the header on
-///   [`SegmentWriter::finish`]. Resident state is O(index + pairs +
-///   constants): the transposed adjacency keeps one 8-byte
-///   `(target, source)` entry per pair until `finish` spills it, still
-///   far below O(interactions).
-/// * The in-memory sink (behind [`SegmentStore::from_edge_list`]) is
-///   given the node, pair and event counts up front, lays the whole
-///   image out at once and writes every section in place; the finished
-///   image is opened as a [`SegmentStore`] without touching a file.
-///
-/// Both produce the same bytes for the same input.
+/// [`SegmentStore::from_edge_list`] builds the same bytes in memory
+/// (see [`crate::image`]), sharing this writer's sealing steps.
 #[derive(Debug)]
 pub struct SegmentWriter {
-    sink: Sink,
+    dir: PathBuf,
+    files: Vec<BufWriter<File>>,
     num_nodes: usize,
     /// Provided global time span (also the index preset, so the packed
     /// activity index starts from the same bucket width as a bulk
@@ -147,29 +143,12 @@ pub struct SegmentWriter {
     out_filled: usize,
     /// `origin_span` entries emitted so far.
     span_filled: usize,
-    /// `(target, source)` of every pair in pair order, transposed into
+    /// Target and origin of every pair in pair order, transposed into
     /// the in-edge sections on `finish`.
-    in_edges: Vec<(NodeId, NodeId)>,
+    targets: Vec<NodeId>,
+    origins: Vec<NodeId>,
     last_time: Timestamp,
     acc: Flow,
-}
-
-/// Where a [`SegmentWriter`] puts its sections.
-#[derive(Debug)]
-enum Sink {
-    /// One spill file per section in `dir`.
-    Spill { dir: PathBuf, files: Vec<BufWriter<File>> },
-    /// The whole image; section `i` is written at `cursor[i]`, which
-    /// must end at `end[i]`.
-    Image { words: Vec<u64>, cursor: [usize; NUM_SPILL], end: [usize; NUM_SPILL] },
-}
-
-/// A sealed segment's parts beside the sections: the header, the
-/// serialized activity index, and the offsets of every section.
-struct Sealed {
-    header: Vec<u8>,
-    index_bytes: Vec<u8>,
-    offsets: [u64; NUM_SECTIONS],
 }
 
 /// Section order inside the writer (and the file).
@@ -185,13 +164,13 @@ const S_IN_PAIRS: usize = 8;
 const S_IN_SOURCES: usize = 9;
 const NUM_SPILL: usize = 10;
 /// Section slot of the serialized activity index (after every spill).
-const S_INDEX: usize = NUM_SPILL;
+pub(crate) const S_INDEX: usize = NUM_SPILL;
 /// Sections in the file: the spill sections plus the trailing index.
-const NUM_SECTIONS: usize = NUM_SPILL + 1;
+pub(crate) const NUM_SECTIONS: usize = NUM_SPILL + 1;
 
 /// Byte sizes of the sections before the index, for a segment with
 /// these counts.
-fn section_sizes(num_nodes: u64, num_pairs: u64, num_events: u64) -> [u64; NUM_SPILL] {
+pub(crate) fn section_sizes(num_nodes: u64, num_pairs: u64, num_events: u64) -> [u64; NUM_SPILL] {
     let (n, p, e) = (num_nodes, num_pairs, num_events);
     [
         4 * (n + 1), // out_start
@@ -209,7 +188,7 @@ fn section_sizes(num_nodes: u64, num_pairs: u64, num_events: u64) -> [u64; NUM_S
 
 /// Section offsets: each section starts 8-aligned behind the previous
 /// one, the index last.
-fn layout(sizes: &[u64; NUM_SPILL]) -> [u64; NUM_SECTIONS] {
+pub(crate) fn layout(sizes: &[u64; NUM_SPILL]) -> [u64; NUM_SECTIONS] {
     let mut offsets = [0u64; NUM_SECTIONS];
     let mut cursor = HEADER_LEN as u64;
     for (off, &size) in offsets.iter_mut().zip(sizes) {
@@ -218,6 +197,106 @@ fn layout(sizes: &[u64; NUM_SPILL]) -> [u64; NUM_SECTIONS] {
     }
     offsets[S_INDEX] = cursor;
     offsets
+}
+
+/// Fills the transposed (in-edge) adjacency of the pairs whose targets
+/// and origins are given in pair order: a counting sort of the pairs by
+/// target. Filling slots in ascending pair id keeps each in-list sorted
+/// by source (pairs are sorted by `(origin, target)`) — the order the
+/// galloping intersection in P1 requires.
+pub(crate) fn transpose(
+    targets: &[NodeId],
+    origins: &[NodeId],
+    in_start: &mut [u32],
+    in_pairs: &mut [PairId],
+    in_sources: &mut [NodeId],
+) {
+    in_start.fill(0);
+    for &v in targets {
+        in_start[v as usize + 1] += 1;
+    }
+    for i in 1..in_start.len() {
+        in_start[i] += in_start[i - 1];
+    }
+    let mut next = in_start.to_vec();
+    for (p, (&v, &u)) in targets.iter().zip(origins).enumerate() {
+        let slot = &mut next[v as usize];
+        in_pairs[*slot as usize] = p as PairId;
+        in_sources[*slot as usize] = u;
+        *slot += 1;
+    }
+}
+
+/// The chained fnv64 over the in-edge sections' exact bytes, which goes
+/// into its own header word.
+pub(crate) fn in_checksum(in_start: &[u32], in_pairs: &[PairId], in_sources: &[NodeId]) -> u64 {
+    [in_start, in_pairs, in_sources]
+        .into_iter()
+        .flatten()
+        .fold(FNV_SEED, |h, x| fnv64_acc(h, &x.to_le_bytes()))
+}
+
+/// The serialized activity index: width, bucket keys, bucket offsets,
+/// origin entries.
+fn index_bytes(index: &ActiveOriginIndex) -> Vec<u8> {
+    let mut bytes: Vec<u8> = Vec::new();
+    bytes.extend_from_slice(&index.bucket_width().to_le_bytes());
+    let buckets: Vec<(i64, &[NodeId])> = index.buckets().collect();
+    bytes.extend_from_slice(&(buckets.len() as u64).to_le_bytes());
+    for &(key, _) in &buckets {
+        bytes.extend_from_slice(&key.to_le_bytes());
+    }
+    let mut start = 0u64;
+    bytes.extend_from_slice(&start.to_le_bytes());
+    for &(_, origins) in &buckets {
+        start += origins.len() as u64;
+        bytes.extend_from_slice(&start.to_le_bytes());
+    }
+    for &(_, origins) in &buckets {
+        for &u in origins {
+            bytes.extend_from_slice(&u.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+/// What a sealed segment puts around its sections.
+pub(crate) struct Sealed {
+    /// The checksummed header.
+    pub(crate) header: Vec<u8>,
+    /// The serialized activity index, written at `offsets[S_INDEX]`.
+    pub(crate) index_bytes: Vec<u8>,
+    /// Every section's offset.
+    pub(crate) offsets: [u64; NUM_SECTIONS],
+}
+
+/// Seals a segment of these counts: lays out the sections, serializes
+/// `index` and writes the header around the in-edge checksum.
+pub(crate) fn seal(
+    num_nodes: usize,
+    num_pairs: u64,
+    num_events: u64,
+    span: Option<(Timestamp, Timestamp)>,
+    index: &ActiveOriginIndex,
+    in_checksum: u64,
+) -> Sealed {
+    let index_bytes = index_bytes(index);
+    let offsets = layout(&section_sizes(num_nodes as u64, num_pairs, num_events));
+    let file_len = offsets[S_INDEX] + index_bytes.len() as u64;
+    let (time_lo, time_hi) = span.unwrap_or(EMPTY_SPAN);
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    for word in [VERSION, num_nodes as u64, num_pairs, num_events, time_lo as u64, time_hi as u64] {
+        header.extend_from_slice(&word.to_le_bytes());
+    }
+    for off in offsets {
+        header.extend_from_slice(&off.to_le_bytes());
+    }
+    header.extend_from_slice(&in_checksum.to_le_bytes());
+    header.extend_from_slice(&file_len.to_le_bytes());
+    header.extend_from_slice(&fnv64(&header).to_le_bytes());
+    debug_assert_eq!(header.len(), HEADER_LEN);
+    Sealed { header, index_bytes, offsets }
 }
 
 impl SegmentWriter {
@@ -240,34 +319,9 @@ impl SegmentWriter {
                 .open(Self::spill_path(dir, i))?;
             files.push(BufWriter::new(f));
         }
-        Self::with_sink(Sink::Spill { dir: dir.to_path_buf(), files }, num_nodes, span)
-    }
-
-    /// A writer building the image in memory, for exactly `num_pairs`
-    /// pairs holding `num_events` events; sealed by
-    /// [`SegmentWriter::finish_in_memory`].
-    fn in_memory(
-        num_nodes: usize,
-        num_pairs: usize,
-        num_events: usize,
-        span: Option<(Timestamp, Timestamp)>,
-    ) -> Result<Self, GraphError> {
-        let sizes = section_sizes(num_nodes as u64, num_pairs as u64, num_events as u64);
-        let offsets = layout(&sizes);
-        let cursor: [usize; NUM_SPILL] = std::array::from_fn(|i| offsets[i] as usize);
-        let end = std::array::from_fn(|i| cursor[i] + sizes[i] as usize);
-        // The index is appended on `finish_in_memory`.
-        let words = vec![0u64; offsets[S_INDEX] as usize / 8];
-        Self::with_sink(Sink::Image { words, cursor, end }, num_nodes, span)
-    }
-
-    fn with_sink(
-        sink: Sink,
-        num_nodes: usize,
-        span: Option<(Timestamp, Timestamp)>,
-    ) -> Result<Self, GraphError> {
         let mut w = Self {
-            sink,
+            dir: dir.to_path_buf(),
+            files,
             num_nodes,
             span,
             index: IndexBuilder::new(span),
@@ -278,7 +332,8 @@ impl SegmentWriter {
             events_written: 0,
             out_filled: 0,
             span_filled: 0,
-            in_edges: Vec::new(),
+            targets: Vec::new(),
+            origins: Vec::new(),
             last_time: Timestamp::MIN,
             acc: 0.0,
         };
@@ -295,15 +350,7 @@ impl SegmentWriter {
 
     #[inline]
     fn write(&mut self, section: usize, bytes: &[u8]) -> Result<(), GraphError> {
-        match &mut self.sink {
-            Sink::Spill { files, .. } => files[section].write_all(bytes)?,
-            Sink::Image { words, cursor, end } => {
-                let (at, to) = (cursor[section], cursor[section] + bytes.len());
-                assert!(to <= end[section], "section {section} overruns its declared size");
-                bytes_of_mut(words)[at..to].copy_from_slice(bytes);
-                cursor[section] = to;
-            }
-        }
+        self.files[section].write_all(bytes)?;
         Ok(())
     }
 
@@ -366,7 +413,8 @@ impl SegmentWriter {
         self.write(S_TARGETS, &v.to_le_bytes())?;
         self.write(S_ORIGINS, &u.to_le_bytes())?;
         self.write(S_PREFIX, &0.0f64.to_le_bytes())?;
-        self.in_edges.push((v, u));
+        self.targets.push(v);
+        self.origins.push(u);
         self.cur_pair = Some((u, v));
         self.pairs_written += 1;
         self.last_time = Timestamp::MIN;
@@ -395,9 +443,10 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Pads out the per-node sections, writes the in-edge sections and
-    /// returns what the sinks assemble behind them.
-    fn seal(&mut self) -> Result<Sealed, GraphError> {
+    /// Finalizes the segment: pads out the per-node sections, writes the
+    /// in-edge sections, assembles the file behind a checksummed header,
+    /// removes the spill files and returns the segment path.
+    pub fn finish(mut self) -> Result<PathBuf, GraphError> {
         self.end_pair()?;
         self.end_origin()?;
         self.fill_spans_to(self.num_nodes)?;
@@ -406,97 +455,30 @@ impl SegmentWriter {
             self.write(S_OUT_START, &n.to_le_bytes())?;
             self.out_filled += 1;
         }
-
-        // Transposed (in-edge) adjacency: a counting sort of the pairs by
-        // target. Filling slots in ascending pair id keeps each in-list
-        // sorted by source (pairs were written sorted by `(origin,
-        // target)`) — the order the galloping intersection in P1
-        // requires. The chained fnv64 over the exact section bytes goes
-        // into its own header word.
-        let in_edges = std::mem::take(&mut self.in_edges);
+        let pairs = self.targets.len();
         let mut in_start = vec![0u32; self.num_nodes + 1];
-        for &(v, _) in &in_edges {
-            in_start[v as usize + 1] += 1;
-        }
-        for i in 0..self.num_nodes {
-            in_start[i + 1] += in_start[i];
-        }
-        let mut next = in_start.clone();
-        let mut in_pairs = vec![0 as PairId; in_edges.len()];
-        let mut in_sources = vec![0 as NodeId; in_edges.len()];
-        for (p, &(v, u)) in in_edges.iter().enumerate() {
-            let slot = &mut next[v as usize];
-            in_pairs[*slot as usize] = p as PairId;
-            in_sources[*slot as usize] = u;
-            *slot += 1;
-        }
-        let mut in_checksum = FNV_SEED;
+        let mut in_pairs = vec![0 as PairId; pairs];
+        let mut in_sources = vec![0 as NodeId; pairs];
+        transpose(&self.targets, &self.origins, &mut in_start, &mut in_pairs, &mut in_sources);
         for (section, column) in
             [(S_IN_START, &in_start), (S_IN_PAIRS, &in_pairs), (S_IN_SOURCES, &in_sources)]
         {
             for &x in column {
-                let b = x.to_le_bytes();
-                in_checksum = fnv64_acc(in_checksum, &b);
-                self.write(section, &b)?;
+                self.write(section, &x.to_le_bytes())?;
             }
         }
-
-        // Serialize the activity index.
         let index = std::mem::replace(&mut self.index, IndexBuilder::new(None)).finish();
-        let mut index_bytes: Vec<u8> = Vec::new();
-        index_bytes.extend_from_slice(&index.bucket_width().to_le_bytes());
-        let buckets: Vec<(i64, &[NodeId])> = index.buckets().collect();
-        index_bytes.extend_from_slice(&(buckets.len() as u64).to_le_bytes());
-        for &(key, _) in &buckets {
-            index_bytes.extend_from_slice(&key.to_le_bytes());
-        }
-        let mut start = 0u64;
-        index_bytes.extend_from_slice(&start.to_le_bytes());
-        for &(_, origins) in &buckets {
-            start += origins.len() as u64;
-            index_bytes.extend_from_slice(&start.to_le_bytes());
-        }
-        for &(_, origins) in &buckets {
-            for &u in origins {
-                index_bytes.extend_from_slice(&u.to_le_bytes());
-            }
-        }
-
-        let offsets =
-            layout(&section_sizes(self.num_nodes as u64, self.pairs_written, self.events_written));
-        let file_len = offsets[S_INDEX] + index_bytes.len() as u64;
-        let (time_lo, time_hi) = self.span.unwrap_or(EMPTY_SPAN);
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        for word in [
-            VERSION,
-            self.num_nodes as u64,
+        let Sealed { header, index_bytes, offsets } = seal(
+            self.num_nodes,
             self.pairs_written,
             self.events_written,
-            time_lo as u64,
-            time_hi as u64,
-        ] {
-            header.extend_from_slice(&word.to_le_bytes());
-        }
-        for off in offsets {
-            header.extend_from_slice(&off.to_le_bytes());
-        }
-        header.extend_from_slice(&in_checksum.to_le_bytes());
-        header.extend_from_slice(&file_len.to_le_bytes());
-        header.extend_from_slice(&fnv64(&header).to_le_bytes());
-        debug_assert_eq!(header.len(), HEADER_LEN);
-        Ok(Sealed { header, index_bytes, offsets })
-    }
-
-    /// Finalizes the segment: assembles the file behind a checksummed
-    /// header, removes the spill files and returns the segment path.
-    pub fn finish(mut self) -> Result<PathBuf, GraphError> {
-        let Sealed { header, index_bytes, offsets } = self.seal()?;
-        let Sink::Spill { dir, files } = self.sink else {
-            unreachable!("an in-memory writer is sealed by finish_in_memory")
-        };
+            self.span,
+            &index,
+            in_checksum(&in_start, &in_pairs, &in_sources),
+        );
+        let dir = self.dir;
         let mut spill: Vec<File> = Vec::with_capacity(NUM_SPILL);
-        for w in files {
+        for w in self.files {
             let mut f = w.into_inner().map_err(|e| GraphError::Io(e.into_error()))?;
             f.flush()?;
             spill.push(f);
@@ -534,23 +516,6 @@ impl SegmentWriter {
         std::fs::rename(&tmp_path, &final_path)?;
         Ok(final_path)
     }
-
-    /// Finalizes an in-memory segment and opens it, validated like a
-    /// file.
-    fn finish_in_memory(mut self) -> Result<SegmentStore, GraphError> {
-        let Sealed { header, index_bytes, offsets } = self.seal()?;
-        let Sink::Image { mut words, cursor, end } = self.sink else {
-            unreachable!("a spilling writer is sealed by finish")
-        };
-        assert_eq!(cursor, end, "sections differ from the declared pair and event counts");
-        let at = offsets[S_INDEX] as usize;
-        let len = at + index_bytes.len();
-        words.resize(len.div_ceil(8), 0);
-        let bytes = bytes_of_mut(&mut words);
-        bytes[..HEADER_LEN].copy_from_slice(&header);
-        bytes[at..len].copy_from_slice(&index_bytes);
-        SegmentStore::from_map(Mmap::owned(words, len))
-    }
 }
 
 /// Packs an in-memory graph into a segment at `dir/graph.seg` (the
@@ -566,37 +531,6 @@ pub fn write_segment(g: &TimeSeriesGraph, dir: &Path) -> Result<PathBuf, GraphEr
         }
     }
     w.finish()
-}
-
-// ---------------------------------------------------------------------
-// In-memory build
-// ---------------------------------------------------------------------
-
-/// One edge-list record.
-type Record = (NodeId, NodeId, Timestamp, Flow);
-
-/// Sorts records into the builder's order — by origin, target and time,
-/// input order breaking ties — with a counting sort by origin followed
-/// by a stable sort of each origin's run.
-fn sort_records(records: Vec<Record>, num_nodes: usize) -> Vec<Record> {
-    let mut start = vec![0usize; num_nodes + 1];
-    for r in &records {
-        start[r.0 as usize + 1] += 1;
-    }
-    for i in 0..num_nodes {
-        start[i + 1] += start[i];
-    }
-    let mut next = start.clone();
-    let mut sorted = vec![(0, 0, 0, 0.0); records.len()];
-    for r in records {
-        let slot = &mut next[r.0 as usize];
-        sorted[*slot] = r;
-        *slot += 1;
-    }
-    for run in start.windows(2) {
-        sorted[run[0]..run[1]].sort_by_key(|&(_, v, t, _)| (v, t));
-    }
-    sorted
 }
 
 // ---------------------------------------------------------------------
@@ -802,6 +736,8 @@ pub struct SegmentStore {
     time_hi: Timestamp,
     offsets: [usize; NUM_SECTIONS],
     index: ActiveOriginIndex,
+    /// Phase times of the in-memory build, if this store was built.
+    pub(crate) build_profile: Option<BuildProfile>,
     /// Heap-resident estimate (the deserialized index), mirrored into
     /// [`crate::metrics::SEGMENT_RESIDENT_BYTES`] for this store's
     /// lifetime.
@@ -824,38 +760,26 @@ impl SegmentStore {
     /// flow` edge list entirely in memory and opens it: the image is
     /// byte-identical to the `graph.seg` [`pack_edge_list`] writes for
     /// the same input, but no file is written or mapped. Records are
-    /// validated as [`crate::GraphBuilder`] validates them, in input
-    /// order, and sorted with a counting sort by origin; peak memory is
-    /// about two copies of the records plus the image.
-    pub fn from_edge_list<R: Read>(reader: R) -> Result<Self, GraphError> {
-        let mut records: Vec<Record> = Vec::new();
-        let mut ids = NodeIdRange::default();
-        let mut span: Option<(Timestamp, Timestamp)> = None;
-        let mut input = EdgeListRecords::new(reader);
-        while let Some(rec) = input.next() {
-            let (u, v, t, f) = rec?;
-            check_interaction(u, v, f, false)?;
-            ids.see(u, v, input.line_number());
-            span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
-            records.push((u, v, t, f));
-        }
-        let num_nodes = ids.num_nodes(records.len())?;
-        let records = sort_records(records, num_nodes);
-        let num_pairs = records.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).count();
-        let mut w = SegmentWriter::in_memory(num_nodes, num_pairs, records.len(), span)?;
-        for pair in records.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            w.begin_pair(pair[0].0, pair[0].1)?;
-            for &(_, _, t, f) in pair {
-                w.push_event(t, f)?;
-            }
-        }
-        drop(records);
-        w.finish_in_memory()
+    /// validated as [`crate::GraphBuilder`] validates them, and errors
+    /// are those of a line-by-line read. The reader is read to the end,
+    /// then built on one worker; [`crate::io::load_segment`] maps a file
+    /// instead and builds it on any number (see [`crate::image`] for the
+    /// steps).
+    pub fn from_edge_list<R: Read>(mut reader: R) -> Result<Self, GraphError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        crate::image::build_threaded(bytes, 1)
+    }
+
+    /// Where the time of the in-memory build that made this store went,
+    /// or `None` for a store opened from a file.
+    pub fn build_profile(&self) -> Option<BuildProfile> {
+        self.build_profile
     }
 
     /// Validates a segment image (a mapped file or one built in memory)
     /// and opens it.
-    fn from_map(map: Mmap) -> Result<Self, GraphError> {
+    pub(crate) fn from_map(map: Mmap) -> Result<Self, GraphError> {
         let bytes = map.bytes();
         if bytes.len() < HEADER_LEN {
             return Err(GraphError::segment(format!(
@@ -939,6 +863,7 @@ impl SegmentStore {
             time_hi,
             offsets,
             index,
+            build_profile: None,
             resident,
         })
     }
