@@ -204,6 +204,8 @@ stage_metrics() {
   grep -q '^flowmotif_engine_epoch 1$' "${_dir}/metrics.txt"
   grep -q '^flowmotif_stream_publishes_total ' "${_dir}/metrics.txt"
   grep -q '^flowmotif_storage_segment_mapped_bytes ' "${_dir}/metrics.txt"
+  grep -q '^flowmotif_serve_pool_jobs_total ' "${_dir}/metrics.txt"
+  grep -q '^flowmotif_serve_panics_total 0$' "${_dir}/metrics.txt"
 }
 
 stage_subscribe() {

@@ -26,7 +26,8 @@
 //! 4. **Seal.** The in-edge sections, their checksum, the index and the
 //!    header are made by the steps [`crate::SegmentWriter`] seals with,
 //!    and the image is opened through the validation a file goes
-//!    through.
+//!    through, except that the store takes over the built activity
+//!    index instead of parsing it back out of the image.
 //!
 //! The image is byte-identical at any worker count: chunks and ranges
 //! only cut sequences (lines, origins) that are processed in order and
@@ -185,15 +186,16 @@ pub(crate) fn build<B: AsRef<[u8]>>(
         sections.in_sources,
     );
     let in_sum = in_checksum(sections.in_start, sections.in_pairs, sections.in_sources);
+    let index = index.finish();
     let Sealed { header, index_bytes, offsets } =
-        seal(num_nodes, num_pairs as u64, num_events as u64, span, &index.finish(), in_sum);
+        seal(num_nodes, num_pairs as u64, num_events as u64, span, &index, in_sum);
     let at = offsets[S_INDEX] as usize;
     let len = at + index_bytes.len();
     words.resize(len.div_ceil(8), 0);
     let image = bytes_of_mut(&mut words);
     image[..HEADER_LEN].copy_from_slice(&header);
     image[at..len].copy_from_slice(&index_bytes);
-    let mut store = SegmentStore::from_map(Mmap::owned(words, len))?;
+    let mut store = SegmentStore::from_map(Mmap::owned(words, len), Some(index))?;
     let build = started.elapsed() - parse - sort;
     store.build_profile = Some(BuildProfile { parse, sort, build, threads: workers });
     Ok(store)
@@ -569,8 +571,11 @@ mod tests {
             assert!(read.image() == want.as_slice());
             for chunks in cuttings(doc) {
                 assert!(built(doc, &chunks).unwrap() == want, "{chunks:?}");
-                let profile = build(doc, &chunks).unwrap().build_profile().unwrap();
-                assert_eq!(profile.threads, chunks.len());
+                let store = build(doc, &chunks).unwrap();
+                assert_eq!(store.build_profile().unwrap().threads, chunks.len());
+                // The store keeps the index the build made, which must be
+                // the one a file open parses from the same bytes.
+                assert_eq!(store.activity_index(), &store.parse_image_index().unwrap());
             }
         }
     }

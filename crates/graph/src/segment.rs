@@ -753,7 +753,7 @@ impl SegmentStore {
     }
 
     fn open_file(path: &Path) -> Result<Self, GraphError> {
-        Self::from_map(Mmap::map(&File::open(path)?)?)
+        Self::from_map(Mmap::map(&File::open(path)?)?, None)
     }
 
     /// Builds a segment from a whitespace/comma-separated `from to time
@@ -778,8 +778,14 @@ impl SegmentStore {
     }
 
     /// Validates a segment image (a mapped file or one built in memory)
-    /// and opens it.
-    pub(crate) fn from_map(map: Mmap) -> Result<Self, GraphError> {
+    /// and opens it. An image built in this process passes the activity
+    /// index its build serialized into it as `built`, which the store
+    /// takes over instead of parsing it back; the header, section bounds
+    /// and in-adjacency checksum are validated either way.
+    pub(crate) fn from_map(
+        map: Mmap,
+        built: Option<ActiveOriginIndex>,
+    ) -> Result<Self, GraphError> {
         let bytes = map.bytes();
         if bytes.len() < HEADER_LEN {
             return Err(GraphError::segment(format!(
@@ -843,7 +849,10 @@ impl SegmentStore {
             return Err(GraphError::segment("in-adjacency checksum mismatch"));
         }
 
-        let index = Self::parse_index(&bytes[offsets[S_INDEX]..], num_nodes)?;
+        let index = match built {
+            Some(index) => index,
+            None => Self::parse_index(&bytes[offsets[S_INDEX]..], num_nodes)?,
+        };
         // Resident ≈ the deserialized index (per-bucket key + Vec header
         // + 4 B entries) plus the store struct itself; the mapped body is
         // counted separately as evictable bytes.
@@ -866,6 +875,18 @@ impl SegmentStore {
             build_profile: None,
             resident,
         })
+    }
+
+    /// The activity index this store searches with.
+    #[cfg(test)]
+    pub(crate) fn activity_index(&self) -> &ActiveOriginIndex {
+        &self.index
+    }
+
+    /// The activity index parsed back from the image's index section.
+    #[cfg(test)]
+    pub(crate) fn parse_image_index(&self) -> Result<ActiveOriginIndex, GraphError> {
+        Self::parse_index(&self.map.bytes()[self.offsets[S_INDEX]..], self.num_nodes)
     }
 
     /// Deserializes the activity index section into a live

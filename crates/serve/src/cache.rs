@@ -7,6 +7,7 @@
 //! Entries for superseded epochs linger harmlessly until capacity
 //! pressure evicts them (least-recently-used first).
 
+use crate::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,7 +51,7 @@ impl ResultCache {
 
     /// Looks up a reply, refreshing its recency on a hit.
     pub(crate) fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         let e = inner.map.get_mut(key)?;
@@ -63,7 +64,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
@@ -79,7 +80,7 @@ impl ResultCache {
 
     /// Entries currently held (the `cache_entries` gauge).
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Entries evicted under capacity pressure since construction.

@@ -18,27 +18,36 @@
 //! * **Worker pool** — executes engine-touching requests off a shared
 //!   [`JobQueue`]. At most one job per connection is ever in flight
 //!   (the session travels with the job), which preserves the
-//!   protocol's strictly sequential reply order for free; pipelining
-//!   wins come from syscall coalescing and from the loops overlapping
-//!   parse/flush with execution.
+//!   protocol's strictly sequential reply order for free. A run of
+//!   consecutive `add`s already waiting in a connection's queue (at most
+//!   [`PIPELINE_MAX`]) travels as *one* job: the worker runs them in
+//!   order and mails their replies back concatenated, so a pipelined
+//!   ingest pays one pool round trip per run instead of per add. With
+//!   `--pool 1`, other connections' jobs queue behind a whole run.
+//!   A panic in a request is caught per request: it is answered
+//!   `ERR internal`, the rest of the job still runs, and the session
+//!   comes home.
 //!
 //! Wire semantics are bit-identical to the thread-per-connection
 //! server; `tests/protocol_edge_cases.rs` is the contract.
 
+use crate::lock;
 use crate::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
-use crate::protocol::{parse_request, Request, MAX_LINE_BYTES};
+use crate::protocol::{parse_request, ErrorCode, Request, MAX_LINE_BYTES};
 use crate::server::{cache_key, handle_request, retry_hint, window_rejection, Session, Shared};
 use crate::source::MotifEngine;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Parsed-but-unexecuted requests buffered per connection; beyond this
-/// the loop stops reading (backpressure) until the queue drains.
+/// the loop stops reading (backpressure) until the queue drains. It also
+/// bounds the `add`s one job carries.
 const PIPELINE_MAX: usize = 128;
 
 /// Unflushed reply bytes per connection before the loop stops reading
@@ -58,19 +67,21 @@ const DRAIN_BUDGET: usize = 16 * MAX_LINE_BYTES;
 /// unread input cannot RST it away).
 const DRAIN_QUIET: Duration = Duration::from_millis(50);
 
-/// An engine-touching request in flight on the worker pool. The
-/// session rides along: while it is checked out, the owning connection
-/// cannot dispatch another job — the serial-per-connection invariant.
+/// Engine-touching requests in flight on the worker pool: one request,
+/// or a run of consecutive `add`s, executed in order. The session rides
+/// along: while it is checked out, the owning connection cannot
+/// dispatch another job — the serial-per-connection invariant.
 #[derive(Debug)]
 pub(crate) struct Job {
     slot: usize,
     gen: u64,
     loop_idx: usize,
-    request: Request,
+    requests: Vec<Request>,
     session: Box<Session>,
 }
 
-/// A finished job on its way back to the owning event loop.
+/// A finished job on its way back to the owning event loop: the framed
+/// replies of its requests, concatenated in order.
 #[derive(Debug)]
 struct Completion {
     slot: usize,
@@ -102,7 +113,7 @@ impl JobQueue {
 
     fn push(&self, job: Job) {
         self.load.fetch_add(1, Ordering::AcqRel);
-        self.q.lock().unwrap().push_back(job);
+        lock(&self.q).push_back(job);
         self.cv.notify_one();
     }
 
@@ -110,7 +121,7 @@ impl JobQueue {
     /// behind at shutdown are dropped, like the old pool dropped its
     /// connection backlog).
     fn pop(&self) -> Option<Job> {
-        let mut q = self.q.lock().unwrap();
+        let mut q = lock(&self.q);
         loop {
             if self.stopped.load(Ordering::Acquire) {
                 return None;
@@ -118,7 +129,7 @@ impl JobQueue {
             if let Some(job) = q.pop_front() {
                 return Some(job);
             }
-            q = self.cv.wait(q).unwrap();
+            q = self.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -401,7 +412,7 @@ pub(crate) fn accept_loop<E: MotifEngine>(
                     shared.conn_count.fetch_add(1, Ordering::AcqRel);
                     let inbox = &shared.inboxes[next % shared.inboxes.len()];
                     next = next.wrapping_add(1);
-                    inbox.new_conns.lock().unwrap().push(stream);
+                    lock(&inbox.new_conns).push(stream);
                     inbox.waker.wake();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -413,12 +424,21 @@ pub(crate) fn accept_loop<E: MotifEngine>(
 }
 
 /// A pool worker: executes engine-touching requests and mails the
-/// framed reply (and the session) back to the owning event loop.
+/// framed replies (and the session) back to the owning event loop.
 pub(crate) fn worker_loop<E: MotifEngine>(shared: &Shared<E>) {
     while let Some(mut job) = shared.pool.pop() {
-        let (reply, close) = handle_request(job.request, shared, &mut job.session);
+        let mut reply = String::new();
+        let mut close = false;
+        for request in job.requests {
+            let (framed, closes) = handle_contained(request, shared, &mut job.session);
+            reply.push_str(&framed);
+            if closes {
+                close = true;
+                break;
+            }
+        }
         let inbox = &shared.inboxes[job.loop_idx];
-        inbox.completions.lock().unwrap().push(Completion {
+        lock(&inbox.completions).push(Completion {
             slot: job.slot,
             gen: job.gen,
             reply,
@@ -427,6 +447,33 @@ pub(crate) fn worker_loop<E: MotifEngine>(shared: &Shared<E>) {
         });
         shared.pool.done();
         inbox.waker.wake();
+    }
+}
+
+/// [`handle_request`] with a panic contained to its own request: the
+/// reply becomes `ERR internal <message>`, the session's search arena is
+/// reset (the panic may have left it mid-search), and the worker lives
+/// on.
+fn handle_contained<E: MotifEngine>(
+    request: Request,
+    shared: &Shared<E>,
+    session: &mut Session,
+) -> (String, bool) {
+    match catch_unwind(AssertUnwindSafe(|| handle_request(request, shared, session))) {
+        Ok(reply) => reply,
+        Err(payload) => {
+            shared.metrics.panics.inc();
+            session.errors += 1;
+            session.scratch = Default::default();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("request handler panicked");
+            // The message must not break the one-line status framing.
+            let message = message.replace(['\n', '\r'], " ");
+            (format!("ERR {} {message}\n", ErrorCode::Internal.token()), false)
+        }
     }
 }
 
@@ -477,7 +524,7 @@ pub(crate) fn event_loop<E: MotifEngine>(
         }
 
         // Intake: sockets from the accept thread.
-        for stream in inbox.new_conns.lock().unwrap().drain(..) {
+        for stream in lock(&inbox.new_conns).drain(..) {
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 shared.conn_count.fetch_sub(1, Ordering::AcqRel);
                 continue;
@@ -506,7 +553,7 @@ pub(crate) fn event_loop<E: MotifEngine>(
         }
 
         // Intake: finished jobs from the worker pool.
-        for comp in inbox.completions.lock().unwrap().drain(..) {
+        for comp in lock(&inbox.completions).drain(..) {
             let Some(slot) = slots.get_mut(comp.slot) else { continue };
             if slot.gen != comp.gen {
                 continue; // stale completion for a freed connection
@@ -594,8 +641,9 @@ fn flush_events<E>(conn: &mut Conn, shared: &Shared<E>) {
 }
 
 /// Runs buffered requests in arrival order: inline ones answer on the
-/// spot; an engine-touching one takes the session and goes to the pool
-/// (one at a time per connection, preserving reply order).
+/// spot; an engine-touching one (or a run of `add`s) takes the session
+/// and goes to the pool (one job at a time per connection, preserving
+/// reply order).
 fn process_pending<E: MotifEngine>(
     conn: &mut Conn,
     shared: &Shared<E>,
@@ -634,6 +682,7 @@ fn process_pending<E: MotifEngine>(
                 shared.metrics.inc_verb("ping");
                 conn.push_reply("OK pong\n");
                 conn.session = Some(session);
+                continue;
             }
             Request::Session => {
                 shared.metrics.inc_verb("session");
@@ -642,6 +691,7 @@ fn process_pending<E: MotifEngine>(
                     session.queries, session.appends, session.errors
                 ));
                 conn.session = Some(session);
+                continue;
             }
             Request::Quit => {
                 shared.metrics.inc_verb("quit");
@@ -649,6 +699,7 @@ fn process_pending<E: MotifEngine>(
                 conn.state = ConnState::Closing;
                 conn.pending.clear();
                 conn.session = Some(session);
+                continue;
             }
             Request::Query(ref spec) | Request::Count(ref spec) => {
                 let materialise = matches!(request, Request::Query(_));
@@ -695,14 +746,29 @@ fn process_pending<E: MotifEngine>(
                     conn.session = Some(session);
                     continue;
                 }
-                shared.pool.push(Job { slot, gen, loop_idx, request, session });
-                return; // session checked out: wait for the completion
             }
-            request => {
-                shared.pool.push(Job { slot, gen, loop_idx, request, session });
-                return;
+            _ => {}
+        }
+        // Dispatch with the session checked out; the completion brings
+        // it back. An `add` takes up to `PIPELINE_MAX - 1` consecutive
+        // `add`s queued behind it along: the first other line ends the
+        // run and waits for it.
+        let mut requests = vec![request];
+        if matches!(requests[0], Request::Add { .. }) {
+            while requests.len() < PIPELINE_MAX {
+                let Some(next) = conn.pending.front() else { break };
+                match parse_request(next) {
+                    Ok(add @ Request::Add { .. }) => {
+                        requests.push(add);
+                        conn.pending.pop_front();
+                    }
+                    _ => break,
+                }
             }
         }
+        shared.metrics.pool_jobs.inc();
+        shared.pool.push(Job { slot, gen, loop_idx, requests, session });
+        return;
     }
 }
 
@@ -715,7 +781,7 @@ fn free_slot<E>(slot: &mut Slot, shared: &Shared<E>) {
     shared.conn_count.fetch_sub(1, Ordering::AcqRel);
     // A gone subscriber must stop costing delta evaluation, and its
     // queue must become unreachable.
-    let mut st = shared.standing.lock().unwrap();
+    let mut st = lock(&shared.standing);
     let (subs, routes) = st.parts();
     routes.retain(|r| {
         if r.session_id == conn.sid {

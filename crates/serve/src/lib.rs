@@ -14,9 +14,9 @@
 //!   rejections and result-cache hits answer on the loop itself.
 //! * **Pipelining** — clients may write many request lines without
 //!   waiting; replies come back in order. Per connection, execution
-//!   stays serial (at most one request of a connection is on a worker
-//!   at a time), which is what makes pipelining observably identical to
-//!   one-at-a-time request/reply.
+//!   stays serial (at most one job of a connection is on a worker at a
+//!   time; a run of pipelined `add`s is one job), which is what makes
+//!   pipelining observably identical to one-at-a-time request/reply.
 //! * **Snapshot reads** — queries run against immutable epoch-stamped
 //!   [`flowmotif_stream::Snapshot`]s, so readers never block the
 //!   ingesting writer and a slow query never delays an append.
@@ -69,3 +69,17 @@ pub use client::Client;
 pub use protocol::{ErrorCode, Reply, Request, MAX_LINE_BYTES};
 pub use server::{Server, ServerConfig};
 pub use source::{EngineSnapshot, MotifEngine};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard if a thread panicked while holding
+/// it. Every lock in this crate guards queues, counters, the result
+/// cache or the standing-query state; a panic inside a request is
+/// caught at the worker's job boundary, and failing every later request
+/// on the poison would turn that one failure into a dead server. The
+/// worst a recovered guard can show is the panicking request's own
+/// half-done update (for example a standing-query delta it did not
+/// finish routing).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

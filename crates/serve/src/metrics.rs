@@ -63,6 +63,11 @@ pub(crate) struct ServerMetrics {
     /// Cold queries shed with a transient `BUSY` by the event loop
     /// (worker backlog tiers), as opposed to the in-flight cap.
     pub load_shed: Arc<Counter>,
+    /// Jobs pushed to the worker pool; against `requests_total` it
+    /// shows how many requests a job carries on average.
+    pub pool_jobs: Arc<Counter>,
+    /// Requests whose handler panicked and were answered `ERR internal`.
+    pub panics: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -124,6 +129,14 @@ impl ServerMetrics {
         let load_shed = registry.counter(
             "flowmotif_serve_load_shed_total",
             "Cold queries shed with a transient BUSY under worker-backlog pressure",
+        );
+        let pool_jobs = registry.counter(
+            "flowmotif_serve_pool_jobs_total",
+            "Jobs pushed to the worker pool (a run of pipelined adds is one job)",
+        );
+        let panics = registry.counter(
+            "flowmotif_serve_panics_total",
+            "Requests whose handler panicked, answered with ERR internal",
         );
 
         use flowmotif_stream::metrics as stream;
@@ -192,6 +205,8 @@ impl ServerMetrics {
             cache_hits,
             cache_misses,
             load_shed,
+            pool_jobs,
+            panics,
         }
     }
 

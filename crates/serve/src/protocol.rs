@@ -31,16 +31,21 @@ pub enum ErrorCode {
     /// query window wider than the server cap). Transient overload uses
     /// the `BUSY` status instead.
     Admission,
+    /// The server failed while executing the request (its handler
+    /// panicked). The session and the connection survive.
+    Internal,
 }
 
 impl ErrorCode {
-    /// The on-wire token (`proto`, `query`, `data`, `admission`).
+    /// The on-wire token (`proto`, `query`, `data`, `admission`,
+    /// `internal`).
     pub fn token(self) -> &'static str {
         match self {
             ErrorCode::Proto => "proto",
             ErrorCode::Query => "query",
             ErrorCode::Data => "data",
             ErrorCode::Admission => "admission",
+            ErrorCode::Internal => "internal",
         }
     }
 }

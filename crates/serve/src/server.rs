@@ -8,6 +8,7 @@
 
 use crate::cache::ResultCache;
 use crate::conn::{accept_loop, event_loop, worker_loop, JobQueue, LoopInbox};
+use crate::lock;
 use crate::metrics::ServerMetrics;
 use crate::poll::Waker;
 use crate::protocol::{parse_request, ErrorCode, QuerySpec, Request};
@@ -110,7 +111,7 @@ impl NotifyQueue {
     /// Enqueues one payload; reports whether it was accepted or dropped
     /// on a full queue.
     pub(crate) fn push(&self, payload: String) -> bool {
-        let mut q = self.lines.lock().unwrap();
+        let mut q = lock(&self.lines);
         if q.len() >= NOTIFY_QUEUE_CAP {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             false
@@ -124,7 +125,7 @@ impl NotifyQueue {
     /// Appends every pending payload to `out` as framed `EVENT` lines;
     /// returns how many were drained.
     pub(crate) fn drain_into(&self, out: &mut String) -> usize {
-        let mut q = self.lines.lock().unwrap();
+        let mut q = lock(&self.lines);
         let n = q.len();
         for payload in q.drain(..) {
             out.push_str("EVENT ");
@@ -293,7 +294,7 @@ impl<E: MotifEngine> Shared<E> {
             r.gauge_fn(
                 "flowmotif_serve_subscriptions_active",
                 "Standing queries currently registered",
-                move || st.lock().unwrap().subs.len() as f64,
+                move || lock(&st).subs.len() as f64,
             );
         }
         {
@@ -717,7 +718,7 @@ fn append_with_standing<E: MotifEngine>(
     time: Timestamp,
     flow: Flow,
 ) -> Result<Timestamp, GraphError> {
-    let mut st = shared.standing.lock().unwrap();
+    let mut st = lock(&shared.standing);
     if st.subs.is_empty() {
         // Quiet path: no subscribers, no delta work.
         return shared.engine.append(from, to, time, flow);
@@ -733,7 +734,7 @@ fn append_with_standing<E: MotifEngine>(
 /// are registered (evicting old events can make a smaller instance
 /// maximal).
 fn evict_with_standing<E: MotifEngine>(shared: &Shared<E>, floor: Timestamp) -> usize {
-    let mut st = shared.standing.lock().unwrap();
+    let mut st = lock(&shared.standing);
     if st.subs.is_empty() {
         return shared.engine.evict_before(floor);
     }
@@ -763,7 +764,7 @@ fn subscribe<E: MotifEngine>(
         spec.motif.phi(),
         spec.window
     );
-    let mut st = shared.standing.lock().unwrap();
+    let mut st = lock(&shared.standing);
     if st.routes.iter().any(|r| r.session_id == session.id && r.key == key) {
         session.errors += 1;
         return (
@@ -782,7 +783,7 @@ fn subscribe<E: MotifEngine>(
 
 /// Removes a standing query; only the owning session may do so.
 fn unsubscribe<E>(id: u64, shared: &Shared<E>, session: &mut Session) -> (String, bool) {
-    let mut st = shared.standing.lock().unwrap();
+    let mut st = lock(&shared.standing);
     let owned = st.routes.iter().position(|r| r.id == id && r.session_id == session.id);
     match owned {
         Some(pos) => {

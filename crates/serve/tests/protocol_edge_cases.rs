@@ -4,7 +4,7 @@
 
 use flowmotif_serve::{Client, Server, ServerConfig};
 use flowmotif_stream::SnapshotEngine;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -536,4 +536,161 @@ fn busy_reply_when_inflight_cap_saturated() {
     }
     assert!(total_ok > 0, "some queries must get through");
     server.shutdown();
+}
+
+// ------------------------------------------------------------------ batching
+//
+// The server runs a run of pipelined `add`s as one pool job. Whatever the
+// mix around those runs, the reply stream must be the one the same lines
+// produce sent one at a time.
+
+/// Whether the server closes the connection after this status line.
+fn closes(status: &str) -> bool {
+    status == "OK bye" || status.starts_with("ERR proto line exceeds")
+}
+
+/// Every line the server sends until it closes the connection.
+fn read_to_close(reader: &mut impl BufRead, out: &mut Vec<String>) {
+    let mut line = String::new();
+    while reader.read_line(&mut line).unwrap() > 0 {
+        out.push(line.trim_end_matches('\n').to_string());
+        line.clear();
+    }
+}
+
+/// The lines a fresh server sends back for `lines` written as one
+/// pipelined burst.
+fn pipelined(lines: &[String]) -> Vec<String> {
+    let (server, _) = server(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let burst: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    raw.write_all(burst.as_bytes()).unwrap();
+    let mut out = Vec::new();
+    read_to_close(&mut BufReader::new(raw), &mut out);
+    server.shutdown();
+    out
+}
+
+/// The lines a fresh server sends back for `lines` sent one at a time,
+/// each after the previous reply's status line, up to the line that
+/// closes the connection.
+fn one_at_a_time(lines: &[String]) -> Vec<String> {
+    let (server, _) = server(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut out = Vec::new();
+    for l in lines {
+        raw.write_all(format!("{l}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "closed before replying to {l}");
+            let line = line.trim_end_matches('\n').to_string();
+            let status = !line.starts_with("DATA ") && !line.starts_with("EVENT ");
+            out.push(line);
+            if status {
+                break;
+            }
+        }
+        if closes(out.last().unwrap()) {
+            break;
+        }
+    }
+    read_to_close(&mut reader, &mut out);
+    server.shutdown();
+    out
+}
+
+/// Checks that `lines` pipelined answer as they do one at a time: the
+/// same frames byte for byte, the same `EVENT` lines (which may sit
+/// between other frames), and no `EVENT` inside a frame. Returns the
+/// pipelined reply stream.
+fn assert_batching_is_invisible(lines: &[String]) -> Vec<String> {
+    let burst = pipelined(lines);
+    let single = one_at_a_time(lines);
+    let mut in_frame = false;
+    for line in &burst {
+        assert!(!(in_frame && line.starts_with("EVENT ")), "EVENT inside a frame: {burst:?}");
+        in_frame = line.starts_with("DATA ");
+    }
+    let split = |out: &[String]| {
+        let (mut events, frames): (Vec<String>, Vec<String>) =
+            out.iter().cloned().partition(|l| l.starts_with("EVENT "));
+        events.sort();
+        (frames, events)
+    };
+    assert_eq!(split(&burst), split(&single));
+    assert!(burst.last().is_some_and(|l| closes(l) || l.starts_with("EVENT ")), "{burst:?}");
+    burst
+}
+
+/// `n` adds of a chain from node `first` on, one time unit apart from
+/// `time` on.
+fn chain(first: u32, time: i64, n: u32) -> Vec<String> {
+    (0..n).map(|i| format!("add {} {} {} 2", first + i, first + i + 1, time + i as i64)).collect()
+}
+
+fn mix(parts: &[&[String]]) -> Vec<String> {
+    parts.concat()
+}
+
+fn lines(ls: &[&str]) -> Vec<String> {
+    ls.iter().map(|l| l.to_string()).collect()
+}
+
+#[test]
+fn pipelined_valid_adds_answer_as_one_at_a_time() {
+    // Longer than one job's run of 128 adds.
+    let _ = assert_batching_is_invisible(&mix(&[&chain(0, 10, 300), &lines(&["session", "quit"])]));
+}
+
+#[test]
+fn pipelined_rejected_and_malformed_lines_answer_as_one_at_a_time() {
+    let _ = assert_batching_is_invisible(&mix(&[
+        &chain(0, 10, 20),
+        &lines(&["add 30 31 40 0", "add 31 32 41 -1"]), // ERR data: flow ≤ 0
+        &chain(40, 50, 20),
+        &lines(&["add 1 2 x 4", "bogus", "add 5 5 60 1"]), // malformed, then a self-loop
+        &chain(80, 70, 20),
+        &lines(&["session", "quit"]),
+    ]));
+}
+
+#[test]
+fn pipelined_verbs_mid_burst_answer_as_one_at_a_time() {
+    let _ = assert_batching_is_invisible(&mix(&[
+        &chain(0, 10, 40),
+        &lines(&["ping", "publish", "count M(3,2) 10 0"]),
+        &chain(100, 60, 40),
+        &lines(&["publish", "count M(3,2) 10 0", "query M(3,2) 10 0", "session", "quit"]),
+        // Never run: the connection closes at `quit`.
+        &chain(200, 200, 5),
+        &lines(&["ping"]),
+    ]));
+}
+
+#[test]
+fn pipelined_oversized_line_mid_burst_answers_as_one_at_a_time() {
+    let huge = format!("add {}", "9".repeat(70 * 1024));
+    let _ = assert_batching_is_invisible(&mix(&[
+        &chain(0, 10, 100),
+        &lines(&["session", &huge]),
+        // Never run: the oversized line closes the connection.
+        &chain(200, 200, 5),
+    ]));
+}
+
+#[test]
+fn pipelined_adds_on_a_subscribed_connection_answer_as_one_at_a_time() {
+    let burst = assert_batching_is_invisible(&mix(&[
+        &lines(&["subscribe M(3,2) 10 0", "subscribe M(3,3) 10 0"]),
+        &chain(0, 10, 60),
+        &lines(&["add 60 0 70 3", "publish", "query M(3,2) 5 0", "count M(3,3) 10 0"]),
+        &chain(100, 100, 150),
+        &lines(&["session", "quit"]),
+    ]));
+    assert!(burst.iter().filter(|l| l.starts_with("EVENT ")).count() > 100, "{burst:?}");
+    assert!(burst.iter().any(|l| l.starts_with("DATA ")), "{burst:?}");
 }

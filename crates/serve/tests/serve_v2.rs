@@ -68,6 +68,23 @@ fn pipelined_batch_replies_in_request_order() {
 }
 
 #[test]
+fn a_pipelined_add_burst_runs_as_few_pool_jobs() {
+    let (server, _) = server(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    // The `metrics` request is a pool job itself, counted before it runs.
+    let before = metric(&mut c, "flowmotif_serve_pool_jobs_total");
+    let lines: Vec<String> = (0..128).map(|i| format!("add {i} {} {} 1", i + 1, 10 + i)).collect();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    for (i, reply) in c.send_batch(&refs).unwrap().iter().enumerate() {
+        assert_eq!(reply.status, format!("OK added watermark={}", 10 + i));
+    }
+    let jobs = metric(&mut c, "flowmotif_serve_pool_jobs_total") - before - 1.0;
+    assert!((1.0..=8.0).contains(&jobs), "128 pipelined adds ran as {jobs} jobs");
+    assert_eq!(metric(&mut c, "flowmotif_serve_requests_total{verb=\"add\"}"), 128.0);
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_burst_interleaves_events_only_between_frames() {
     let (server, _) = server(ServerConfig::default());
     let mut c = Client::connect(server.local_addr()).unwrap();
@@ -228,6 +245,16 @@ impl Gate {
 struct GatedEngine {
     inner: SnapshotEngine,
     gate: Arc<Gate>,
+    /// Injected fault: appending an interaction at this time panics.
+    panic_at: Option<Timestamp>,
+}
+
+impl GatedEngine {
+    fn fault(&self, time: Timestamp) {
+        if self.panic_at == Some(time) {
+            panic!("injected fault at time {time}");
+        }
+    }
 }
 
 struct GatedSnapshot {
@@ -279,6 +306,7 @@ impl MotifEngine for GatedEngine {
         time: Timestamp,
         flow: Flow,
     ) -> Result<Timestamp, GraphError> {
+        self.fault(time);
         MotifEngine::append(&self.inner, from, to, time, flow)
     }
 
@@ -332,6 +360,7 @@ impl MotifEngine for GatedEngine {
         subs: &mut StandingQueries,
         out: &mut Vec<StandingEvent>,
     ) -> Result<Timestamp, GraphError> {
+        self.fault(time);
         MotifEngine::append_standing(&self.inner, from, to, time, flow, subs, out)
     }
 
@@ -348,7 +377,11 @@ impl MotifEngine for GatedEngine {
 #[test]
 fn shed_tiers_drop_cold_queries_first_and_always_admit_cache_hits() {
     let gate = Arc::new(Gate::default());
-    let engine = Arc::new(GatedEngine { inner: SnapshotEngine::new(), gate: Arc::clone(&gate) });
+    let engine = Arc::new(GatedEngine {
+        inner: SnapshotEngine::new(),
+        gate: Arc::clone(&gate),
+        panic_at: None,
+    });
     // backlog 2: at load 1 (amber) only unbounded cold queries shed; at
     // load 2 (red) every cold query does. One worker so queued jobs
     // stay queued while the gate is closed.
@@ -365,7 +398,8 @@ fn shed_tiers_drop_cold_queries_first_and_always_admit_cache_hits() {
     gate.close();
     let mut jam = TcpStream::connect(addr).unwrap();
     jam.write_all(b"count M(3,2) 999 0 0 50\n").unwrap();
-    gate.wait_entered(1);
+    // The warm-up query above already passed the gate once.
+    gate.wait_entered(2);
 
     // Amber (load 1, half the backlog): unbounded cold queries shed...
     let mut c = Client::connect(addr).unwrap();
@@ -419,6 +453,49 @@ fn shed_tiers_drop_cold_queries_first_and_always_admit_cache_hits() {
     }
     assert!(metric(&mut c, "flowmotif_serve_load_shed_total") >= 2.0);
     assert!(metric(&mut c, "flowmotif_serve_cache_hits_total") >= 1.0);
+    server.shutdown();
+}
+
+// ---------------------------------------------------------- fault containment
+
+#[test]
+fn a_panicking_add_costs_only_its_own_request() {
+    let engine = Arc::new(GatedEngine {
+        inner: SnapshotEngine::new(),
+        gate: Arc::default(),
+        panic_at: Some(13),
+    });
+    // One worker: had the panic killed it, no later job could run.
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::start(engine, config, "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    // An uncaught panic would lose the replies: fail, do not hang.
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A standing query puts every add under the standing-state lock, so
+    // the panic also poisons that lock.
+    assert_eq!(c.send("subscribe M(3,2) 10 0").unwrap().status, "OK subscribed id=1");
+    let lines: Vec<String> = (0..20).map(|i| format!("add {i} {} {} 1", i + 1, 10 + i)).collect();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    for (i, reply) in c.send_batch(&refs).unwrap().iter().enumerate() {
+        if i == 3 {
+            assert_eq!(reply.status, "ERR internal injected fault at time 13");
+        } else {
+            assert_eq!(reply.status, format!("OK added watermark={}", 10 + i));
+        }
+    }
+    // The session came home with its counters, and the connection and
+    // the worker still serve.
+    assert_eq!(c.send("ping").unwrap().status, "OK pong");
+    let session = c.send("session").unwrap();
+    assert_eq!(session.field("appends"), Some("20"), "{}", session.status);
+    assert_eq!(session.field("errors"), Some("1"), "{}", session.status);
+    assert_eq!(c.send("add 50 51 100 1").unwrap().status, "OK added watermark=100");
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(other.send("ping").unwrap().status, "OK pong");
+    assert_eq!(other.send("add 60 61 101 1").unwrap().status, "OK added watermark=101");
+    let stats = other.send("stats").unwrap();
+    assert_eq!(stats.field("interactions"), Some("21"), "{}", stats.status);
+    assert_eq!(metric(&mut other, "flowmotif_serve_panics_total"), 1.0);
     server.shutdown();
 }
 
