@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # The offline CI gate, in named stages with per-stage wall-clock timing.
 #
-#   ./ci.sh         full gate: build, test, all-targets, bench-regression,
-#                   wco, soak, out-of-core, metrics, subscribe, docs, fmt,
-#                   clippy
+#   ./ci.sh         full gate: build, test, all-targets, e2ebench,
+#                   bench-regression, wco, soak, out-of-core, metrics,
+#                   protocol-fuzz, subscribe, docs, fmt, clippy
 #   ./ci.sh quick   build + tests only (the tier-1 inner loop)
 #
 # Everything runs with no network and no registry. The bench-regression
@@ -36,6 +36,13 @@ stage_test() {
 stage_all_targets() {
   # Benches and experiment binaries must at least compile.
   cargo build --offline --workspace --all-targets
+}
+
+stage_e2ebench() {
+  # The end-to-end benchmark harness is a workspace of its own that
+  # calls the library directly: an API change that breaks it must fail
+  # here, not first in a benchmark run.
+  cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 }
 
 stage_bench_regression() {
@@ -208,6 +215,15 @@ stage_metrics() {
   grep -q '^flowmotif_serve_panics_total 0$' "${_dir}/metrics.txt"
 }
 
+stage_protocol_fuzz() {
+  # The request parser's seeded fuzz loop with a larger budget than the
+  # test stage gives it: no mutated line may panic the parser, and no
+  # accepted query spec may carry a non-finite ϕ, a negative δ or an
+  # inverted window.
+  FLOWMOTIF_PROTOCOL_FUZZ_ITERS=1000000 cargo test -q --release --offline -p flowmotif-serve \
+    --lib mutated_request_lines_never_panic_and_accepted_specs_are_valid
+}
+
 stage_subscribe() {
   # End-to-end standing-query path: serve on a private port, register a
   # standing subscription over the wire, stream appends from a second
@@ -295,11 +311,13 @@ if [ "$MODE" = "quick" ]; then
   exit 0
 fi
 stage all-targets stage_all_targets
+stage e2ebench stage_e2ebench
 stage bench-regression stage_bench_regression
 stage wco stage_wco
 stage soak stage_soak
 stage out-of-core stage_out_of_core
 stage metrics stage_metrics
+stage protocol-fuzz stage_protocol_fuzz
 stage subscribe stage_subscribe
 stage docs stage_docs
 stage fmt stage_fmt

@@ -39,7 +39,7 @@ struct Partial {
 }
 
 /// Runs the full join baseline, returning the same maximal instances as
-/// `flowmotif_core::enumerate_all` (grouping differs: results are flat).
+/// `flowmotif_core::Query::collect` (grouping differs: results are flat).
 pub fn join_enumerate(
     g: &TimeSeriesGraph,
     motif: &Motif,
@@ -152,7 +152,7 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmotif_core::{catalog, enumerate_all};
+    use flowmotif_core::{catalog, Query};
     use flowmotif_graph::GraphBuilder;
 
     fn fig5() -> TimeSeriesGraph {
@@ -184,7 +184,7 @@ mod tests {
         let g = fig5();
         for (name, phi) in [("M(3,3)", 7.0), ("M(3,3)", 0.0), ("M(3,2)", 0.0), ("M(4,3)", 2.0)] {
             let motif = catalog::by_name(name, 10, phi).unwrap();
-            let (two_phase, _) = enumerate_all(&g, &motif);
+            let (two_phase, _) = Query::new(&motif).collect(&g);
             let flat: Vec<_> = two_phase
                 .into_iter()
                 .flat_map(|(sm, is)| is.into_iter().map(move |i| (sm.clone(), i)))

@@ -7,8 +7,8 @@
 //! All variants return identical result sets; only the work differs.
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::enumerate::{enumerate_with_sink, CountSink, SearchOptions};
-use flowmotif_core::parallel::par_count_instances;
+use flowmotif_core::enumerate::{CountSink, SearchOptions};
+use flowmotif_core::{ParOptions, Query, SearchScratch};
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -25,21 +25,31 @@ fn main() {
     let base = SearchOptions::default();
     let variants = [
         ("full", base),
-        ("no_window_skip", base.with_skip_redundant_windows(false)),
-        ("no_phi_prune", base.with_phi_prefix_pruning(false)),
-        ("neither", base.with_skip_redundant_windows(false).with_phi_prefix_pruning(false)),
+        ("no_window_skip", SearchOptions { skip_redundant_windows: false, ..base }),
+        ("no_phi_prune", SearchOptions { phi_prefix_pruning: false, ..base }),
+        (
+            "neither",
+            SearchOptions { skip_redundant_windows: false, phi_prefix_pruning: false, ..base },
+        ),
     ];
     micro::header();
     for (name, opts) in variants {
         group.bench(format!("options/{name}"), || {
             let mut sink = CountSink::default();
-            black_box(enumerate_with_sink(&g, motif, opts, &mut sink));
+            black_box(Query { opts, ..Query::new(motif) }.run(
+                &g,
+                &mut sink,
+                &mut SearchScratch::default(),
+            ));
             sink.count
         });
     }
     for threads in [1usize, 2, 4] {
         group.bench(format!("threads/{threads}"), || {
-            black_box(par_count_instances(&g, motif, threads))
+            black_box(
+                Query { par: Some(ParOptions::with_threads(threads)), ..Query::new(motif) }
+                    .count(&g),
+            )
         });
     }
     group.finish();

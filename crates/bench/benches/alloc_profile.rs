@@ -16,10 +16,7 @@
 use flowmotif_bench::{allocations, micro, BenchGroup, CountingAllocator, ExpContext};
 use flowmotif_core::enumerate::{CountSink, SearchOptions};
 use flowmotif_core::topk::TopKSink;
-use flowmotif_core::{
-    count_instances, enumerate_window_with_sink_scratch, enumerate_with_sink_scratch, AtomicTrace,
-    SearchScratch,
-};
+use flowmotif_core::{AtomicTrace, Query, SearchScratch};
 use flowmotif_datasets::Dataset;
 use flowmotif_graph::TimeWindow;
 use flowmotif_stream::StandingQueries;
@@ -64,7 +61,7 @@ fn main() {
     let opts = SearchOptions::default();
 
     // Context for the gate: matches per pass (printed, not asserted).
-    let (_, stats) = count_instances(&g, &motif);
+    let (_, stats) = Query::new(&motif).count(&g);
     println!(
         "alloc_profile: {} structural matches / {} instances per unbounded pass",
         stats.structural_matches, stats.instances_emitted
@@ -76,7 +73,7 @@ fn main() {
         let (g, motif) = (&g, &motif);
         gate(&mut group, "enumerate/unbounded", move || {
             let mut sink = CountSink::default();
-            enumerate_with_sink_scratch(g, motif, opts, &mut sink, &mut scratch);
+            Query { opts, ..Query::new(motif) }.run(g, &mut sink, &mut scratch);
             sink.count
         });
     }
@@ -85,7 +82,11 @@ fn main() {
         let (g, motif) = (&g, &motif);
         gate(&mut group, "enumerate/windowed_indexed", move || {
             let mut sink = CountSink::default();
-            enumerate_window_with_sink_scratch(g, motif, window, opts, &mut sink, &mut scratch);
+            Query { bounds: Some(window), opts, ..Query::new(motif) }.run(
+                g,
+                &mut sink,
+                &mut scratch,
+            );
             sink.count
         });
     }
@@ -96,13 +97,17 @@ fn main() {
         // above, which run with `SearchOptions::default()`, i.e. the
         // instrumented code with the sink compiled out to `None`).
         let trace: &'static AtomicTrace = Box::leak(Box::new(AtomicTrace::new()));
-        let traced = opts.with_trace(Some(trace));
+        let traced = SearchOptions { trace: Some(trace), ..opts };
         let mut scratch = SearchScratch::default();
         let (g, motif) = (&g, &motif);
         gate(&mut group, "enumerate/windowed_traced", move || {
             trace.reset();
             let mut sink = CountSink::default();
-            enumerate_window_with_sink_scratch(g, motif, window, traced, &mut sink, &mut scratch);
+            Query { bounds: Some(window), opts: traced, ..Query::new(motif) }.run(
+                g,
+                &mut sink,
+                &mut scratch,
+            );
             sink.count
         });
     }
@@ -134,7 +139,7 @@ fn main() {
         let (g, motif) = (&g, &motif);
         gate(&mut group, "top_k/unbounded_k10", move || {
             sink.reset();
-            enumerate_with_sink_scratch(g, motif, opts, &mut sink, &mut scratch);
+            Query { opts, ..Query::new(motif) }.run(g, &mut sink, &mut scratch);
             sink.kth_flow()
         });
     }

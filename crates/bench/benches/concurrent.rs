@@ -14,8 +14,8 @@
 //! stalls it behind every in-flight query.
 
 use flowmotif_bench::{micro, BenchGroup};
-use flowmotif_core::catalog;
-use flowmotif_graph::TimeWindow;
+use flowmotif_core::{catalog, Motif, Query};
+use flowmotif_graph::{TimeSeriesGraph, TimeWindow};
 use flowmotif_stream::{QueryEngine, SnapshotEngine};
 use flowmotif_util::rng::{RngExt, SeedableRng, StdRng};
 use std::hint::black_box;
@@ -68,6 +68,11 @@ where
     })
 }
 
+/// The instances of `motif` inside `w`.
+fn count(g: &TimeSeriesGraph, motif: &Motif, w: TimeWindow) -> u64 {
+    Query { bounds: Some(w), ..Query::new(motif) }.count(g).0
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let n = if quick { INTERACTIONS / 10 } else { INTERACTIONS };
@@ -93,11 +98,11 @@ fn main() {
 
     group.bench(format!("snapshot/{READERS}-readers"), || {
         let engine = Arc::clone(&snapshot_engine);
-        fan_out(READERS, n as i64, move |w| engine.snapshot().count(motif, Some(w)).0)
+        fan_out(READERS, n as i64, move |w| count(engine.snapshot().graph(), motif, w))
     });
     group.bench(format!("mutex/{READERS}-readers"), || {
         let engine = Arc::clone(&mutex_engine);
-        fan_out(READERS, n as i64, move |w| engine.lock().unwrap().count(motif, Some(w)).0)
+        fan_out(READERS, n as i64, move |w| count(engine.lock().unwrap().graph(), motif, w))
     });
 
     // The same fan-out with a writer ingesting concurrently: the metric
@@ -114,7 +119,7 @@ fn main() {
                 writer_engine.ingest(batch).unwrap();
                 writer_engine.publish();
             });
-            let total = fan_out(READERS, n as i64, |w| engine.snapshot().count(motif, Some(w)).0);
+            let total = fan_out(READERS, n as i64, |w| count(engine.snapshot().graph(), motif, w));
             writer.join().unwrap();
             black_box(total)
         })
@@ -130,7 +135,7 @@ fn main() {
                 writer_engine.lock().unwrap().ingest(batch).unwrap();
             });
             let total =
-                fan_out(READERS, n as i64, |w| engine.lock().unwrap().count(motif, Some(w)).0);
+                fan_out(READERS, n as i64, |w| count(engine.lock().unwrap().graph(), motif, w));
             writer.join().unwrap();
             black_box(total)
         })

@@ -2,7 +2,7 @@
 //! cost as the duration constraint δ grows.
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::{catalog, count_instances};
+use flowmotif_core::{catalog, Query};
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -18,7 +18,7 @@ fn main() {
         for delta in d.delta_sweep() {
             let motif = catalog::by_name("M(3,2)", delta, d.default_phi()).unwrap();
             group.bench(format!("{}/delta={delta}", d.name()), || {
-                black_box(count_instances(&g, &motif))
+                black_box(Query::new(&motif).count(&g))
             });
         }
     }

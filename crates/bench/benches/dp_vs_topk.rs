@@ -3,8 +3,7 @@
 //! §5.1.
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::dp::dp_max_flow;
-use flowmotif_core::topk::top_k;
+use flowmotif_core::{Query, SearchScratch};
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -21,10 +20,15 @@ fn main() {
         for m in ctx.motifs(d).into_iter().filter(|m| MOTIFS.contains(&m.name().as_str())) {
             let motif = m.with_constraints(d.default_delta(), 0.0).unwrap();
             group.bench(format!("topk1/{}/{}", d.name(), motif.name()), || {
-                black_box(top_k(&g, &motif, 1))
+                black_box(Query::new(&motif).top_k(&g, 1))
             });
             group.bench(format!("dp/{}/{}", d.name(), motif.name()), || {
-                black_box(dp_max_flow(&g, &motif))
+                black_box(
+                    Query::new(&motif)
+                        .top1(&g, &mut SearchScratch::default())
+                        .0
+                        .map_or(0.0, |(_, i)| i.flow),
+                )
             });
         }
     }

@@ -18,7 +18,7 @@
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
 use flowmotif_core::enumerate::{CountSink, SearchOptions};
-use flowmotif_core::{enumerate_window_with_sink_scratch, AtomicTrace, SearchScratch};
+use flowmotif_core::{AtomicTrace, Query, SearchScratch};
 use flowmotif_datasets::Dataset;
 use flowmotif_graph::TimeWindow;
 use flowmotif_obs::{Counter, Histogram};
@@ -67,7 +67,11 @@ fn main() {
         let opts = SearchOptions::default();
         group.bench("search/untraced", move || {
             let mut sink = CountSink::default();
-            enumerate_window_with_sink_scratch(g, motif, window, opts, &mut sink, &mut scratch);
+            Query { bounds: Some(window), opts, ..Query::new(motif) }.run(
+                g,
+                &mut sink,
+                &mut scratch,
+            );
             sink.count
         });
     }
@@ -75,11 +79,15 @@ fn main() {
         let trace: &'static AtomicTrace = Box::leak(Box::new(AtomicTrace::new()));
         let mut scratch = SearchScratch::default();
         let (g, motif) = (&g, &motif);
-        let opts = SearchOptions::default().with_trace(Some(trace));
+        let opts = SearchOptions { trace: Some(trace), ..SearchOptions::default() };
         group.bench("search/traced", move || {
             trace.reset();
             let mut sink = CountSink::default();
-            enumerate_window_with_sink_scratch(g, motif, window, opts, &mut sink, &mut scratch);
+            Query { bounds: Some(window), opts, ..Query::new(motif) }.run(
+                g,
+                &mut sink,
+                &mut scratch,
+            );
             sink.count
         });
     }

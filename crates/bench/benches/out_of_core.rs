@@ -18,7 +18,7 @@
 use flowmotif_bench::CountingAllocator;
 use flowmotif_bench::{live_bytes, peak_bytes, reset_peak, set_heap_budget, BenchGroup};
 use flowmotif_core::catalog::parse_motif;
-use flowmotif_core::enumerate::count_instances;
+use flowmotif_core::Query;
 use flowmotif_graph::io::{load_segment, load_time_series_graph};
 use flowmotif_graph::segment::{pack_edge_list, segment_path, DEFAULT_RUN_RECORDS};
 use flowmotif_graph::SegmentStore;
@@ -84,7 +84,7 @@ fn main() {
     // armed: ~2 MiB of resident events, far over the budget.
     let (want_count, want_stats) = {
         let mem = load_time_series_graph(&edges).unwrap();
-        count_instances(&mem, &motif)
+        Query::new(&motif).count(&mem)
     };
 
     // The mapped store's heap footprint is its section index, not the
@@ -93,7 +93,7 @@ fn main() {
     reset_peak();
     let floor = live_bytes();
     let seg = SegmentStore::open(&dir.0).unwrap();
-    let (got_count, got_stats) = count_instances(&seg, &motif);
+    let (got_count, got_stats) = Query::new(&motif).count(&seg);
     set_heap_budget(None);
     let high_water = peak_bytes() - floor;
     assert_eq!(
@@ -124,14 +124,14 @@ fn main() {
         use std::time::Instant;
         let on_demand = SegmentStore::open(&dir.0).unwrap();
         let t0 = Instant::now();
-        black_box(count_instances(&on_demand, &motif));
+        black_box(Query::new(&motif).count(&on_demand));
         let cold_search = t0.elapsed();
         let prefetched = SegmentStore::open(&dir.0).unwrap();
         let t0 = Instant::now();
         let spanned = prefetched.prefetch();
         let prefetch_cost = t0.elapsed();
         let t0 = Instant::now();
-        black_box(count_instances(&prefetched, &motif));
+        black_box(Query::new(&motif).count(&prefetched));
         let warm_search = t0.elapsed();
         println!(
             "out_of_core: first search on-demand {cold_search:?}; prefetch ({} KiB) \
@@ -147,7 +147,7 @@ fn main() {
         let motif = &motif;
         group.bench("search/packed_budgeted", move || {
             set_heap_budget(Some(live_bytes() + budget));
-            let out = black_box(count_instances(seg, motif));
+            let out = black_box(Query::new(motif).count(seg));
             set_heap_budget(None);
             assert_eq!(out.0, want_count);
             out.0
@@ -159,7 +159,7 @@ fn main() {
     {
         let mem = load_time_series_graph(&edges).unwrap();
         let motif = motif.clone();
-        group.bench("search/in_memory", move || black_box(count_instances(&mem, &motif).0));
+        group.bench("search/in_memory", move || black_box(Query::new(&motif).count(&mem).0));
     }
 
     // Timed: the load step of `find`/`topk`/`top1` on an edge list —

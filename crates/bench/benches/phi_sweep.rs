@@ -2,7 +2,7 @@
 //! cost as the flow constraint ϕ grows (prefix pruning bites earlier).
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::{catalog, count_instances};
+use flowmotif_core::{catalog, Query};
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -18,7 +18,7 @@ fn main() {
         for phi in d.phi_sweep() {
             let motif = catalog::by_name("M(3,2)", d.default_delta(), phi).unwrap();
             group.bench(format!("{}/phi={phi}", d.name()), || {
-                black_box(count_instances(&g, &motif))
+                black_box(Query::new(&motif).count(&g))
             });
         }
     }

@@ -2,7 +2,7 @@
 //! cost over growing time-prefix samples of each dataset.
 
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::{catalog, count_instances};
+use flowmotif_core::{catalog, Query};
 use flowmotif_datasets::{time_prefix_samples, Dataset};
 use std::hint::black_box;
 
@@ -19,7 +19,7 @@ fn main() {
         for s in time_prefix_samples(&mg, &d.prefix_fractions()) {
             group.bench(
                 format!("{}/{} ({} interactions)", d.name(), s.label, s.num_interactions),
-                || black_box(count_instances(&s.graph, &motif)),
+                || black_box(Query::new(&motif).count(&s.graph)),
             );
         }
     }

@@ -20,8 +20,8 @@
 //!   balance regression fails `cargo bench` (and CI) deterministically.
 
 use flowmotif_bench::{micro, BenchGroup};
-use flowmotif_core::parallel::{par_count_instances_with, scheduler_makespan, ParOptions};
-use flowmotif_core::{catalog, count_instances, SearchOptions};
+use flowmotif_core::parallel::{scheduler_makespan, ParOptions};
+use flowmotif_core::{catalog, Query, SearchOptions};
 use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
 use flowmotif_util::rng::{RngExt, SeedableRng, StdRng};
 use std::hint::black_box;
@@ -90,19 +90,19 @@ fn main() {
     );
 
     // Sanity: both schedulers count exactly what the sequential scan counts.
-    let (seq, _) = count_instances(&g, &motif);
+    let (seq, _) = Query::new(&motif).count(&g);
     for par in [legacy(8), stealing(8)] {
-        let (n, _) = par_count_instances_with(&g, &motif, opts, par);
+        let (n, _) = Query { opts, par: Some(par), ..Query::new(&motif) }.count(&g);
         assert_eq!(n, seq, "{par:?}");
     }
 
     micro::header();
     for threads in [1usize, 8] {
         group.bench(format!("blocks/t{threads}"), || {
-            black_box(par_count_instances_with(&g, &motif, opts, legacy(threads)))
+            black_box(Query { opts, par: Some(legacy(threads)), ..Query::new(&motif) }.count(&g))
         });
         group.bench(format!("worksteal/t{threads}"), || {
-            black_box(par_count_instances_with(&g, &motif, opts, stealing(threads)))
+            black_box(Query { opts, par: Some(stealing(threads)), ..Query::new(&motif) }.count(&g))
         });
     }
     group.finish();

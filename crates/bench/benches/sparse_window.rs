@@ -7,7 +7,7 @@
 //! the graph.
 
 use flowmotif_bench::{micro, BenchGroup};
-use flowmotif_core::{catalog, enumerate_window_with_sink, CountSink, SearchOptions};
+use flowmotif_core::{catalog, CountSink, Query, SearchOptions, SearchScratch};
 use flowmotif_graph::{GraphBuilder, TimeSeriesGraph, TimeWindow};
 use std::hint::black_box;
 
@@ -44,14 +44,18 @@ fn main() {
         // Slide the window deterministically so no single cache-hot spot
         // is measured.
         for (label, use_index) in [("indexed", true), ("unindexed", false)] {
-            let opts = SearchOptions::default().with_use_active_index(use_index);
+            let opts = SearchOptions { use_active_index: use_index, ..SearchOptions::default() };
             let mut at = 0i64;
             let span = origins as i64 * SLICE;
             group.bench(format!("bounded_query_{label}_pairs{origins}"), || {
                 at = (at + 997 * SLICE) % (span - WINDOW);
                 let w = TimeWindow::new(at, at + WINDOW);
                 let mut sink = CountSink::default();
-                enumerate_window_with_sink(&g, &motif, w, opts, &mut sink);
+                Query { bounds: Some(w), opts, ..Query::new(&motif) }.run(
+                    &g,
+                    &mut sink,
+                    &mut SearchScratch::default(),
+                );
                 black_box(sink.count)
             });
         }

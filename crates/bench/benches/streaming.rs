@@ -6,7 +6,7 @@
 //! O(window) per query, the engine O(batch) amortized.
 
 use flowmotif_bench::{micro, BenchGroup};
-use flowmotif_core::{catalog, count_instances_in_window};
+use flowmotif_core::{catalog, CountSink, Query, SearchScratch};
 use flowmotif_graph::{GraphBuilder, TimeWindow};
 use flowmotif_stream::{QueryEngine, SlidingWindow};
 use flowmotif_util::rng::{RngExt, SeedableRng, StdRng};
@@ -72,10 +72,14 @@ fn main() {
         "# steady state: {} resident interactions, horizon {horizon}",
         engine.stats().interactions
     );
+    let mut scratch = SearchScratch::default();
     group.bench(format!("engine/append{BATCH}+query (window {window})"), || {
         engine.ingest(stream.next_batch(BATCH)).unwrap();
         let wm = engine.stats().watermark.unwrap();
-        black_box(engine.count(&motif, Some(TimeWindow::new(wm - QUERY_SPAN, wm))))
+        let bounds = Some(TimeWindow::new(wm - QUERY_SPAN, wm));
+        let mut sink = CountSink::default();
+        Query { bounds, ..Query::new(&motif) }.run(engine.graph(), &mut sink, &mut scratch);
+        black_box(sink.count)
     });
 
     // Ingestion alone, for the per-append figure.
@@ -100,7 +104,10 @@ fn main() {
         let mut b = GraphBuilder::new();
         b.extend_interactions(log.iter().copied());
         let g = b.build_time_series_graph();
-        black_box(count_instances_in_window(&g, &motif, TimeWindow::new(wm - QUERY_SPAN, wm)))
+        black_box(
+            Query { bounds: Some(TimeWindow::new(wm - QUERY_SPAN, wm)), ..Query::new(&motif) }
+                .count(&g),
+        )
     });
 
     if let [engine_r, _, rebuild_r] = group.results() {

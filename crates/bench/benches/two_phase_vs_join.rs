@@ -3,7 +3,7 @@
 
 use flowmotif_baseline::join_enumerate;
 use flowmotif_bench::{micro, BenchGroup, ExpContext};
-use flowmotif_core::count_instances;
+use flowmotif_core::Query;
 use flowmotif_datasets::Dataset;
 use std::hint::black_box;
 
@@ -19,7 +19,7 @@ fn main() {
         let g = ctx.graph(d);
         for m in ctx.motifs(d).into_iter().filter(|m| MOTIFS.contains(&m.name().as_str())) {
             group.bench(format!("two_phase/{}/{}", d.name(), m.name()), || {
-                black_box(count_instances(&g, &m))
+                black_box(Query::new(&m).count(&g))
             });
             group.bench(format!("join/{}/{}", d.name(), m.name()), || {
                 black_box(join_enumerate(&g, &m))

@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p flowmotif-bench --bin exp_fig11 [--scale S]`
 
 use flowmotif_bench::{CommonArgs, ExpContext, Table};
-use flowmotif_core::topk::top_k;
+use flowmotif_core::Query;
 use flowmotif_datasets::Dataset;
 
 const KS: [usize; 6] = [1, 5, 10, 50, 100, 500];
@@ -36,7 +36,7 @@ fn main() {
         for m in &motifs {
             let motif = m.with_constraints(d.default_delta(), 0.0).unwrap();
             // One top-500 run serves every k.
-            let (ranked, _) = top_k(&g, &motif, *KS.last().unwrap());
+            let (ranked, _) = Query::new(&motif).top_k(&g, *KS.last().unwrap());
             let mut row = vec![m.name()];
             for &k in &KS {
                 let flow = (ranked.len() >= k).then(|| ranked[k - 1].instance.flow);

@@ -10,7 +10,7 @@
 use flowmotif_bench::{harness::ms, time_it, CommonArgs, ExpContext, Table};
 use flowmotif_core::dp::{dp_best_window_in_match, DpScratch, DpStats};
 use flowmotif_core::enumerate::{
-    enumerate_in_match_reusing, EnumerationScratch, SearchOptions, SearchStats,
+    enumerate_in_match, EnumerationScratch, SearchOptions, SearchStats,
 };
 use flowmotif_core::find_structural_matches;
 use flowmotif_core::topk::TopKSink;
@@ -47,17 +47,10 @@ fn main() {
             let (topk_flow, t_topk) = time_it(|| {
                 let mut sink = TopKSink::new(1);
                 let mut stats = SearchStats::default();
-                let mut scratch = EnumerationScratch::default();
+                let (opts, scratch) =
+                    (SearchOptions::default(), &mut EnumerationScratch::default());
                 for sm in &matches {
-                    enumerate_in_match_reusing(
-                        &g,
-                        &motif,
-                        sm,
-                        SearchOptions::default(),
-                        &mut sink,
-                        &mut stats,
-                        &mut scratch,
-                    );
+                    enumerate_in_match(&g, &motif, sm, None, opts, &mut sink, &mut stats, scratch);
                 }
                 sink.into_sorted().first().map_or(0.0, |r| r.instance.flow)
             });

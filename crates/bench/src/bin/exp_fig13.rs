@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p flowmotif-bench --bin exp_fig13 [--scale S]`
 
 use flowmotif_bench::{harness::ms, time_it, CommonArgs, ExpContext, Table};
-use flowmotif_core::count_instances;
+use flowmotif_core::Query;
 use flowmotif_datasets::{time_prefix_samples, Dataset};
 
 struct Point {
@@ -39,7 +39,7 @@ fn main() {
             let mut crow = vec![m.name()];
             let mut trow = vec![m.name()];
             for s in &samples {
-                let ((n, _), t) = time_it(|| count_instances(&s.graph, m));
+                let ((n, _), t) = time_it(|| Query::new(m).count(&s.graph));
                 crow.push(n.to_string());
                 trow.push(format!("{:.1}", ms(t)));
                 points.push(Point {

@@ -6,7 +6,7 @@
 
 use flowmotif_baseline::join_enumerate;
 use flowmotif_bench::{harness::ms, time_it, CommonArgs, ExpContext, Table};
-use flowmotif_core::count_instances;
+use flowmotif_core::Query;
 use flowmotif_datasets::Dataset;
 
 struct Row {
@@ -33,7 +33,7 @@ fn main() {
         let mut table =
             Table::new(["Motif", "#instances", "two-phase (ms)", "join (ms)", "join/two-phase"]);
         for m in &motifs {
-            let ((n2, _), t2) = time_it(|| count_instances(&g, m));
+            let ((n2, _), t2) = time_it(|| Query::new(m).count(&g));
             let ((nj, _), tj) = time_it(|| join_enumerate(&g, m));
             assert_eq!(n2, nj.len() as u64, "two-phase and join must agree on {m}");
             table.row([

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release -p flowmotif-bench --bin exp_fig9 [--scale S]`
 
 use flowmotif_bench::{harness::ms, time_it, CommonArgs, ExpContext, Table};
-use flowmotif_core::count_instances;
+use flowmotif_core::Query;
 use flowmotif_datasets::Dataset;
 
 struct Point {
@@ -43,7 +43,7 @@ fn main() {
             let mut trow = vec![m.name()];
             for &delta in &sweep {
                 let motif = m.with_constraints(delta, d.default_phi()).unwrap();
-                let ((n, _), t) = time_it(|| count_instances(&g, &motif));
+                let ((n, _), t) = time_it(|| Query::new(&motif).count(&g));
                 crow.push(n.to_string());
                 trow.push(format!("{:.1}", ms(t)));
                 points.push(Point {

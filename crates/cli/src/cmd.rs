@@ -4,9 +4,9 @@
 use crate::opts::{Cli, Command};
 use flowmotif_core::analytics::per_match_activity;
 use flowmotif_core::census::walk_census;
-use flowmotif_core::dp::dp_top1_with;
-use flowmotif_core::parallel::{par_count_and_sample_with, par_top_k_with, ParOptions};
-use flowmotif_core::{catalog, AtomicTrace, Motif, SearchOptions, SearchScratch, TraceStage};
+use flowmotif_core::{
+    catalog, AtomicTrace, Motif, ParOptions, Query, SearchOptions, SearchScratch, TraceStage,
+};
 use flowmotif_datasets::Dataset;
 use flowmotif_graph::{io, GraphStats, GraphStore, SegmentStore, TimeSeriesGraph, TimeWindow};
 use flowmotif_serve::{Client, Server, ServerConfig};
@@ -85,13 +85,16 @@ fn profile_trace(cli: &Cli) -> Option<&'static AtomicTrace> {
     cli.profile.then(|| &*Box::leak(Box::new(AtomicTrace::new())))
 }
 
-/// Search options for find/topk/top1: the `--extension-order` choice,
-/// with the `--profile` trace attached when requested.
-fn traced_options(cli: &Cli, trace: Option<&'static AtomicTrace>) -> SearchOptions {
-    SearchOptions::builder()
-        .trace(trace.map(|t| t as _))
-        .extension_order(cli.extension_order)
-        .build()
+/// The query of find/topk/top1: the `--extension-order` choice and the
+/// `--threads`/`--hub-degree` scheduling, with the `--profile` trace
+/// attached when requested.
+fn query_of<'a>(cli: &Cli, motif: &'a Motif, trace: Option<&'static AtomicTrace>) -> Query<'a> {
+    let opts = SearchOptions {
+        trace: trace.map(|t| t as _),
+        extension_order: cli.extension_order,
+        ..SearchOptions::default()
+    };
+    Query { opts, par: Some(par_of(cli)), ..Query::new(motif) }
 }
 
 /// Prints the per-stage breakdown collected by a `--profile` run: the
@@ -178,8 +181,7 @@ fn find<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     let started = trace.map(|_| Instant::now());
     // Counted, not collected: only the `--show` sample is kept, and it
     // is the first instances in scan order at any thread count.
-    let (total, sample, stats) =
-        par_count_and_sample_with(g, &motif, cli.show, traced_options(cli, trace), par_of(cli));
+    let (total, sample, stats) = query_of(cli, &motif, trace).sample(g, cli.show);
     if cli.json {
         let shown: Vec<_> = sample.iter().map(|(sm, i)| (sm, i)).collect();
         writeln!(
@@ -229,7 +231,7 @@ fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| Instant::now());
-    let (ranked, _) = par_top_k_with(g, &motif, cli.k, traced_options(cli, trace), par_of(cli));
+    let (ranked, _) = query_of(cli, &motif, trace).top_k(g, cli.k);
     if cli.json {
         let rows: Vec<_> = ranked
             .iter()
@@ -263,8 +265,7 @@ fn top1<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| Instant::now());
-    let (best, stats) =
-        dp_top1_with(g, &motif, traced_options(cli, trace), &mut SearchScratch::default());
+    let (best, stats) = query_of(cli, &motif, trace).top1(g, &mut SearchScratch::default());
     match best {
         Some((sm, inst)) => {
             if cli.json {
@@ -517,12 +518,12 @@ fn stream_query<W: Write>(
     cli: &Cli,
     out: &mut W,
 ) {
-    let res = engine.query(motif, window);
-    let total = res.num_instances();
+    let q = Query { bounds: window, opts: engine.options(), ..Query::new(motif) };
     let g = engine.graph();
+    let (groups, _) = q.collect(g);
+    let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
     if cli.json {
-        let shown: Vec<_> = res
-            .groups
+        let shown: Vec<_> = groups
             .iter()
             .flat_map(|(sm, v)| v.iter().map(move |i| (sm, i)))
             .take(cli.show)
@@ -545,7 +546,7 @@ fn stream_query<W: Write>(
     let scope = window.map_or_else(|| "all retained".to_string(), |w| w.to_string());
     writeln!(out, "{motif} over {scope}: {total} maximal instances").ok();
     let mut printed = 0;
-    'outer: for (sm, insts) in &res.groups {
+    'outer: for (sm, insts) in &groups {
         for inst in insts {
             if printed >= cli.show {
                 break 'outer;

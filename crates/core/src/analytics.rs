@@ -11,12 +11,12 @@
 //!   and how this activity is spread along the timeline".
 
 use crate::dp::{dp_table, DpStats};
-use crate::enumerate::{
-    enumerate_in_match_reusing, CollectSink, EnumerationScratch, SearchOptions, SearchStats,
-};
-use crate::instance::StructuralMatch;
+use crate::enumerate::FnSink;
+use crate::instance::{InstanceView, StructuralMatch};
 use crate::matcher::P1Driver;
 use crate::motif::Motif;
+use crate::query::Query;
+use crate::scratch::SearchScratch;
 use flowmotif_graph::{Flow, GraphStore, SeriesRef, TimeWindow, Timestamp};
 
 /// Activity summary of one structural match (one row of the "which
@@ -51,38 +51,29 @@ flowmotif_util::impl_to_json!(MatchActivity {
 /// instances are omitted.
 pub fn per_match_activity<G: GraphStore>(g: &G, motif: &Motif) -> Vec<MatchActivity> {
     let mut out: Vec<MatchActivity> = Vec::new();
-    let mut stats = SearchStats::default();
-    let mut scratch = EnumerationScratch::default();
-    P1Driver::new(motif.path()).for_each(g, &mut |sm| {
-        let mut sink = CollectSink::default();
-        enumerate_in_match_reusing(
-            g,
-            motif,
-            sm,
-            SearchOptions::default(),
-            &mut sink,
-            &mut stats,
-            &mut scratch,
-        );
-        let Some((_, insts)) = sink.groups.pop() else { return };
-        let mut a = MatchActivity {
-            structural_match: sm.clone(),
-            instances: insts.len() as u64,
-            max_flow: 0.0,
-            total_flow: 0.0,
-            first_activity: None,
-            last_activity: None,
-        };
-        for i in &insts {
-            a.max_flow = a.max_flow.max(i.flow);
-            a.total_flow += i.flow;
-            a.first_activity =
-                Some(a.first_activity.map_or(i.first_time, |t: Timestamp| t.min(i.first_time)));
-            a.last_activity =
-                Some(a.last_activity.map_or(i.last_time, |t: Timestamp| t.max(i.last_time)));
+    // A match's instances arrive together, so each opens or extends the
+    // last row.
+    let mut sink = FnSink(|sm: &StructuralMatch, i: InstanceView<'_>| {
+        if out.last().is_none_or(|a| a.structural_match != *sm) {
+            out.push(MatchActivity {
+                structural_match: sm.clone(),
+                instances: 0,
+                max_flow: 0.0,
+                total_flow: 0.0,
+                first_activity: None,
+                last_activity: None,
+            });
         }
-        out.push(a);
+        let a = out.last_mut().expect("a row for this match");
+        a.instances += 1;
+        a.max_flow = a.max_flow.max(i.flow);
+        a.total_flow += i.flow;
+        a.first_activity =
+            Some(a.first_activity.map_or(i.first_time, |t: Timestamp| t.min(i.first_time)));
+        a.last_activity =
+            Some(a.last_activity.map_or(i.last_time, |t: Timestamp| t.max(i.last_time)));
     });
+    Query::new(motif).run(g, &mut sink, &mut SearchScratch::default());
     out.sort_by(|a, b| {
         b.instances.cmp(&a.instances).then_with(|| b.total_flow.total_cmp(&a.total_flow))
     });
@@ -157,7 +148,6 @@ pub fn per_match_top1<G: GraphStore>(g: &G, motif: &Motif) -> Vec<(StructuralMat
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::enumerate::count_instances;
     use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
 
     /// Two chains: a "hot" one with three bursts and a "cold" one with a
@@ -194,7 +184,7 @@ mod tests {
         let g = two_chain_graph();
         let motif = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
         let total: u64 = per_match_activity(&g, &motif).iter().map(|a| a.instances).sum();
-        assert_eq!(total, count_instances(&g, &motif).0);
+        assert_eq!(total, Query::new(&motif).count(&g).0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use crate::enumerate::SearchOptions;
 use crate::error::MotifError;
 use crate::motif::{Motif, MotifNode, SpanningPath};
-use crate::parallel::{par_count_instances_with, ParOptions};
+use crate::parallel::ParOptions;
+use crate::query::Query;
 use flowmotif_graph::{Flow, GraphStore, Timestamp};
 
 /// The largest census size: beyond 8 edges the number of shapes is
@@ -84,7 +85,7 @@ pub fn walk_census<G: GraphStore + Sync>(
     let mut rows = Vec::new();
     for shape in all_walk_shapes(num_edges)? {
         let motif = Motif::new(shape.clone(), delta, phi)?;
-        let (instances, stats) = par_count_instances_with(g, &motif, opts, par);
+        let (instances, stats) = Query { opts, par: Some(par), ..Query::new(&motif) }.count(g);
         rows.push(CensusRow { shape, instances, structural_matches: stats.structural_matches });
     }
     rows.sort_by_key(|r| std::cmp::Reverse(r.instances));

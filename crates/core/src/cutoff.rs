@@ -1,6 +1,5 @@
 //! Cutoff passes: the flow bound pushed into phase P1 for the ranking
-//! searches ([`crate::topk::top_k`], [`crate::parallel::par_top_k_with`],
-//! [`crate::dp::dp_top1_with`]).
+//! searches ([`crate::Query::top_k`] and [`crate::Query::top1`]).
 //!
 //! An instance's flow is at most the in-bounds flow of each of its pairs
 //! (flows are positive), so a search for the `k` best instances needs

@@ -51,20 +51,15 @@
 //! forms. Only a genuine change (new or retired instances) rebuilds that
 //! match's stored vector. The `alloc_profile` bench gates the quiet path.
 
-use crate::enumerate::{
-    enumerate_in_match_bounded, enumerate_window_with_sink_scratch, FnSink, SearchOptions,
-    SearchStats,
-};
+use crate::enumerate::{enumerate_in_match, FnSink, SearchOptions, SearchStats, UNBOUNDED};
 use crate::instance::{InstanceView, StructuralMatch};
 use crate::matcher::P1Driver;
 use crate::motif::Motif;
+use crate::query::Query;
 use crate::scratch::SearchScratch;
 use flowmotif_graph::{Flow, GraphStore, NodeId, TimeWindow, Timestamp};
 use flowmotif_util::{FxHashMap, FxHashSet, FxHasher};
 use std::hash::Hasher;
-
-/// The unbounded window (every timestamp admissible).
-const UNBOUNDED: TimeWindow = TimeWindow { start: Timestamp::MIN, end: Timestamp::MAX };
 
 /// One motif edge of a canonicalized instance: graph endpoints plus the
 /// shape of its edge-set, stable across `PairId` remaps and series index
@@ -276,15 +271,7 @@ impl DeltaContext {
                 }
             }
         });
-        let run = enumerate_window_with_sink_scratch(
-            g,
-            motif,
-            bounds.unwrap_or(UNBOUNDED),
-            opts,
-            &mut sink,
-            scratch,
-        );
-        stats.merge(&run);
+        stats.merge(&Query { bounds, opts, ..Query::new(motif) }.run(g, &mut sink, scratch));
     }
 
     /// Delta evaluation for one appended interaction `(from, to, time)`:
@@ -333,7 +320,7 @@ impl DeltaContext {
             .run(g, p1, &mut |sm| {
                 ds.matches_scanned += 1;
                 refresh_match(
-                    g, motif, walk, sm, p2_bounds, opts, matches, key_buf, p2, stats, &mut ds,
+                    g, motif, walk, sm, bounds, opts, matches, key_buf, p2, stats, &mut ds,
                     &mut emit,
                 );
             });
@@ -360,7 +347,6 @@ impl DeltaContext {
         if drained.is_empty() || self.matches.is_empty() {
             return ds;
         }
-        let p2_bounds = bounds.unwrap_or(UNBOUNDED);
         let Self { matches, key_buf, rescan, drained_set, sm_buf } = self;
         drained_set.clear();
         drained_set.extend(drained.iter().copied());
@@ -395,7 +381,7 @@ impl DeltaContext {
                 }
             }
             refresh_match(
-                g, motif, walk, sm_buf, p2_bounds, opts, matches, key_buf, p2, stats, &mut ds,
+                g, motif, walk, sm_buf, bounds, opts, matches, key_buf, p2, stats, &mut ds,
                 &mut emit,
             );
         }
@@ -413,7 +399,7 @@ fn refresh_match<G: GraphStore>(
     motif: &Motif,
     walk: &[u8],
     sm: &StructuralMatch,
-    p2_bounds: TimeWindow,
+    bounds: Option<TimeWindow>,
     opts: SearchOptions,
     matches: &mut FxHashMap<Vec<NodeId>, Vec<DeltaInstance>>,
     key_buf: &mut Vec<NodeId>,
@@ -437,7 +423,7 @@ fn refresh_match<G: GraphStore>(
                 known += 1;
             }
         });
-        enumerate_in_match_bounded(g, motif, sm, p2_bounds, opts, &mut sink, stats, p2);
+        enumerate_in_match(g, motif, sm, bounds, opts, &mut sink, stats, p2);
     }
     if known == total && total == stored.len() {
         return;
@@ -459,7 +445,7 @@ fn refresh_match<G: GraphStore>(
             fresh.push(di);
         });
         let mut resweep = SearchStats::default();
-        enumerate_in_match_bounded(g, motif, sm, p2_bounds, opts, &mut sink, &mut resweep, p2);
+        enumerate_in_match(g, motif, sm, bounds, opts, &mut sink, &mut resweep, p2);
     }
     ds.instances_retired += old.iter().filter(|o| !fresh.contains(o)).count() as u64;
     if !fresh.is_empty() {
@@ -537,7 +523,7 @@ mod tests {
                 &mut stats,
                 |_, _| {},
             );
-            let (groups, _) = crate::enumerate_all(&g, &motif);
+            let (groups, _) = Query::new(&motif).collect(&g);
             assert_eq!(dump(&ctx), canonicalize(&g, &groups), "prefix {n}");
         }
         // The per-match P2 runs accumulate into the caller's SearchStats
@@ -630,7 +616,7 @@ mod tests {
         assert_eq!(ctx.num_instances(), 1);
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].1.edges[1].count, 2, "the enlarged e2 set");
-        let (groups, _) = crate::enumerate_all(&g, &motif);
+        let (groups, _) = Query::new(&motif).collect(&g);
         assert_eq!(dump(&ctx), canonicalize(&g, &groups));
     }
 
@@ -660,7 +646,7 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(ds.matches_scanned, 1);
-        let (groups, _) = crate::enumerate_all(&g, &motif);
+        let (groups, _) = Query::new(&motif).collect(&g);
         assert_eq!(dump(&ctx), canonicalize(&g, &groups));
     }
 

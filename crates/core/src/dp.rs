@@ -20,13 +20,13 @@
 //! flow, so the maximum over all instances is attained at a maximal one.
 //! The reconstructed witness instance, however, need not be maximal.
 //!
-//! [`dp_top1_with`] runs as [`crate::cutoff`] passes: phase P1 binds only
-//! pairs heavy enough to carry the best flow.
+//! [`crate::Query::top1`] runs as [`crate::cutoff`] passes: phase P1
+//! binds only pairs heavy enough to carry the best flow.
 
-use crate::cutoff::{cutoff_passes, PassOutcome};
 use crate::enumerate::SearchOptions;
 use crate::instance::{EdgeSet, MotifInstance, StructuralMatch};
 use crate::motif::Motif;
+use crate::query::Query;
 use crate::scratch::SearchScratch;
 use crate::trace::TraceStage;
 use flowmotif_graph::{Flow, GraphStore, SeriesRef, TimeWindow, Timestamp};
@@ -300,7 +300,7 @@ pub fn dp_top1_in_match<G: GraphStore>(
 }
 
 /// Backtracks the witness instance out of a DP table.
-fn reconstruct(
+pub(crate) fn reconstruct(
     series: &[SeriesRef<'_>],
     sm: &StructuralMatch,
     window: TimeWindow,
@@ -330,72 +330,21 @@ fn reconstruct(
     MotifInstance { edge_sets, flow, first_time, last_time }
 }
 
-/// Runs Algorithm 2 over every structural match: the global top-1 instance
-/// flow and a witness (paper §5.1). Returns `None` when the graph holds no
-/// instance at all.
-pub fn dp_top1<G: GraphStore>(
-    g: &G,
-    motif: &Motif,
-) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
-    let mut scratch = SearchScratch::default();
-    dp_top1_scratch(g, motif, &mut scratch)
-}
-
-/// [`dp_top1`] running out of a caller-provided [`SearchScratch`]: phase
-/// P1 walks out of `scratch.p1` and the per-window DP out of
-/// `scratch.dp`, so after warm-up a repeated top-1 query allocates only
-/// for the returned witness.
-pub fn dp_top1_scratch<G: GraphStore>(
-    g: &G,
-    motif: &Motif,
-    scratch: &mut SearchScratch,
-) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
-    dp_top1_with(g, motif, SearchOptions::default(), scratch)
-}
-
-/// [`dp_top1_scratch`] honouring [`SearchOptions`]: the phase P1 walk
-/// follows `use_active_index`, and when a [`crate::trace::TraceSink`] is
-/// attached the run reports P1 time (walk minus DP), DP time and the
-/// windows-solved count to it, plus each cutoff pass. `None` trace costs
-/// one branch per match.
-///
-/// The search runs as [`crate::cutoff`] passes with `k = 1`. The winner
-/// is the first match in P1 order, and its first window, that reaches
-/// the best flow; a pass's floor removes only matches that cannot reach
-/// it, so the flow and the witness are those of a single search without
-/// a floor. The stats sum over the passes.
+/// [`Query::top1`] of `motif`. Kept until the end-to-end benchmark
+/// stops importing it (ROADMAP item 2).
 pub fn dp_top1_with<G: GraphStore>(
     g: &G,
     motif: &Motif,
     opts: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
-    let mut stats = DpStats::default();
-    let mut best = None;
-    // Flows are positive and the DP reports only flows above 0, so a
-    // floor at 0 skips nothing.
-    cutoff_passes(g, 1, 0.0, opts.trace, |floor| {
-        best = dp_pass(g, motif, opts, floor, scratch, &mut stats);
-        PassOutcome {
-            found: usize::from(best.is_some()),
-            kth_flow: best.as_ref().map_or(Flow::NEG_INFINITY, |&(f, _, _)| f),
-        }
-    });
-    match best {
-        None => (None, stats),
-        Some((flow, sm, window)) => {
-            let series: Vec<SeriesRef<'_>> = sm.pairs.iter().map(|&p| g.series(p)).collect();
-            let table = dp_table(&series, window, &mut stats);
-            let inst = reconstruct(&series, &sm, window, &table, flow);
-            (Some((sm, inst)), stats)
-        }
-    }
+    Query { opts, ..Query::new(motif) }.top1(g, scratch)
 }
 
 /// One DP pass with phase P1 under the pair-flow floor `floor`: the best
 /// flow over the admitted matches, the first match and window reaching
 /// it, with its counters added to `stats`.
-fn dp_pass<G: GraphStore>(
+pub(crate) fn dp_pass<G: GraphStore>(
     g: &G,
     motif: &Motif,
     opts: SearchOptions,
@@ -447,18 +396,23 @@ fn dp_pass<G: GraphStore>(
     best
 }
 
-/// Convenience: just the maximum instance flow in the graph (`0.0` when no
-/// instance exists). This is the quantity Algorithm 2 returns.
-pub fn dp_max_flow<G: GraphStore>(g: &G, motif: &Motif) -> (Flow, DpStats) {
-    let (best, stats) = dp_top1(g, motif);
-    (best.map_or(0.0, |(_, i)| i.flow), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
     use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
+
+    fn dp_top1(
+        g: &TimeSeriesGraph,
+        motif: &Motif,
+    ) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
+        Query::new(motif).top1(g, &mut SearchScratch::default())
+    }
+
+    fn dp_max_flow(g: &TimeSeriesGraph, motif: &Motif) -> (Flow, DpStats) {
+        let (best, stats) = dp_top1(g, motif);
+        (best.map_or(0.0, |(_, i)| i.flow), stats)
+    }
 
     /// The Fig. 7 structural match (see `enumerate.rs` tests).
     fn fig7() -> (TimeSeriesGraph, StructuralMatch) {
@@ -561,9 +515,9 @@ mod tests {
         let (g, _) = fig7();
         let motif = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
         let trace: &'static AtomicTrace = Box::leak(Box::new(AtomicTrace::new()));
-        let opts = SearchOptions::default().with_trace(Some(trace));
-        let mut scratch = SearchScratch::default();
-        let (best, stats) = dp_top1_with(&g, &motif, opts, &mut scratch);
+        let opts = SearchOptions { trace: Some(trace), ..SearchOptions::default() };
+        let (best, stats) =
+            Query { opts, ..Query::new(&motif) }.top1(&g, &mut SearchScratch::default());
         assert_eq!(best.unwrap().1.flow, 5.0);
         assert_eq!(trace.count(TraceStage::P1), stats.structural_matches);
         // The witness re-solve happens after the trace is recorded, so

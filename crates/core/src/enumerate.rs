@@ -33,22 +33,17 @@
 //!    that element emits the enlarged instance instead.
 
 use crate::instance::{EdgeSet, InstanceView, MotifInstance, StructuralMatch};
-use crate::matcher::{ExtensionOrder, P1Driver};
+use crate::matcher::ExtensionOrder;
 use crate::motif::Motif;
-use crate::scratch::SearchScratch;
-use crate::trace::{TraceSink, TraceStage};
+use crate::trace::TraceSink;
 use flowmotif_graph::{Flow, GraphStore, SeriesRef, TimeWindow, Timestamp};
 use std::ops::Range;
 
 /// Tuning knobs for the enumerator. The defaults implement the paper's
-/// Algorithm 1; the toggles exist for the ablation experiments.
-///
-/// The struct is `#[non_exhaustive]`: downstream crates construct it via
-/// [`SearchOptions::default`] or [`SearchOptions::builder`] and derive
-/// variants with the `with_*` combinators, so new knobs can land without
-/// breaking them.
+/// Algorithm 1; the toggles exist for the ablation experiments. Derive a
+/// variant with struct update syntax
+/// (`SearchOptions { trace, ..opts }`) or with [`SearchOptions::builder`].
 #[derive(Clone, Copy)]
-#[non_exhaustive]
 pub struct SearchOptions {
     /// Skip window positions that contribute no new `R(e_m)` element
     /// (guard 1 above). Disabling processes every anchor; the result set
@@ -86,43 +81,6 @@ impl SearchOptions {
     pub fn builder() -> SearchOptionsBuilder {
         SearchOptionsBuilder::default()
     }
-
-    /// This options value with the trace hook replaced. Out-of-crate
-    /// callers use this instead of a functional-update literal, which
-    /// `#[non_exhaustive]` forbids there.
-    #[must_use]
-    pub fn with_trace(mut self, trace: Option<&'static dyn TraceSink>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// This options value with the P1 extension order replaced.
-    #[must_use]
-    pub fn with_extension_order(mut self, order: ExtensionOrder) -> Self {
-        self.extension_order = order;
-        self
-    }
-
-    /// This options value with guard-1 window skipping replaced.
-    #[must_use]
-    pub fn with_skip_redundant_windows(mut self, v: bool) -> Self {
-        self.skip_redundant_windows = v;
-        self
-    }
-
-    /// This options value with `ϕ` prefix pruning replaced.
-    #[must_use]
-    pub fn with_phi_prefix_pruning(mut self, v: bool) -> Self {
-        self.phi_prefix_pruning = v;
-        self
-    }
-
-    /// This options value with the active-index toggle replaced.
-    #[must_use]
-    pub fn with_use_active_index(mut self, v: bool) -> Self {
-        self.use_active_index = v;
-        self
-    }
 }
 
 impl Default for SearchOptions {
@@ -137,8 +95,7 @@ impl Default for SearchOptions {
     }
 }
 
-/// Builder for [`SearchOptions`] — the construction path that stays
-/// source-compatible as knobs are added.
+/// Builder for [`SearchOptions`], equivalent to struct update syntax.
 ///
 /// ```
 /// use flowmotif_core::{ExtensionOrder, SearchOptions};
@@ -147,9 +104,11 @@ impl Default for SearchOptions {
 ///     .phi_prefix_pruning(false)
 ///     .extension_order(ExtensionOrder::Fixed)
 ///     .build();
-/// assert_eq!(opts, SearchOptions::default()
-///     .with_extension_order(ExtensionOrder::Fixed)
-///     .with_phi_prefix_pruning(false));
+/// assert_eq!(opts, SearchOptions {
+///     phi_prefix_pruning: false,
+///     extension_order: ExtensionOrder::Fixed,
+///     ..SearchOptions::default()
+/// });
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchOptionsBuilder {
@@ -372,48 +331,23 @@ pub struct EnumerationScratch {
 pub(crate) const UNBOUNDED: TimeWindow = TimeWindow { start: Timestamp::MIN, end: Timestamp::MAX };
 
 /// Enumerates all maximal instances of `motif` inside the single
-/// structural match `sm`, delivering them to `sink`. Generic over the
+/// structural match `sm`, delivering them to `sink` and adding to
+/// `stats`, out of caller-provided scratch buffers. Generic over the
 /// [`GraphStore`] backend like the rest of the pipeline.
+///
+/// With `bounds`, the result is exactly what Algorithm 1 would produce on
+/// the sub-network of interactions with `start <= time <= end`, but
+/// computed by *borrowing* the resident graph — no rebuild, no copying.
+/// Window anchors, the prepend guard and all series ranges are clamped
+/// to the bounds, so maximality is judged relative to the restricted
+/// edge set (an instance extendable only by out-of-window elements is
+/// still reported). Requires `motif.delta() >= 0`.
+#[allow(clippy::too_many_arguments)] // the P2 call: match, window, options, outputs, scratch
 pub fn enumerate_in_match<G: GraphStore, S: InstanceSink>(
     g: &G,
     motif: &Motif,
     sm: &StructuralMatch,
-    opts: SearchOptions,
-    sink: &mut S,
-    stats: &mut SearchStats,
-) {
-    let mut scratch = EnumerationScratch::default();
-    enumerate_in_match_reusing(g, motif, sm, opts, sink, stats, &mut scratch);
-}
-
-/// [`enumerate_in_match`] with caller-provided scratch buffers; use this
-/// when iterating over many matches (see [`enumerate_with_sink`]).
-pub fn enumerate_in_match_reusing<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    sm: &StructuralMatch,
-    opts: SearchOptions,
-    sink: &mut S,
-    stats: &mut SearchStats,
-    scratch: &mut EnumerationScratch,
-) {
-    enumerate_in_match_bounded(g, motif, sm, UNBOUNDED, opts, sink, stats, scratch);
-}
-
-/// [`enumerate_in_match_reusing`] restricted to the closed time window
-/// `bounds`: the result is exactly what Algorithm 1 would produce on the
-/// sub-network of interactions with `bounds.start <= time <= bounds.end`,
-/// but computed by *borrowing* the resident graph — no rebuild, no
-/// copying. Window anchors, the prepend guard and all series ranges are
-/// clamped to the bounds, so maximality is judged relative to the
-/// restricted edge set (an instance extendable only by out-of-window
-/// elements is still reported). Requires `motif.delta() >= 0`.
-#[allow(clippy::too_many_arguments)] // mirrors enumerate_in_match_reusing + bounds
-pub fn enumerate_in_match_bounded<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    sm: &StructuralMatch,
-    bounds: TimeWindow,
+    bounds: Option<TimeWindow>,
     opts: SearchOptions,
     sink: &mut S,
     stats: &mut SearchStats,
@@ -432,7 +366,7 @@ pub fn enumerate_in_match_bounded<G: GraphStore, S: InstanceSink>(
         sink,
         stats,
         window: TimeWindow::new(0, 0),
-        bounds,
+        bounds: bounds.unwrap_or(UNBOUNDED),
         anchor_time: 0,
         anchor_prev: None,
         stack,
@@ -556,7 +490,11 @@ impl<'g, G: GraphStore, S: InstanceSink> MatchEnumerator<'_, 'g, G, S> {
     fn emit_last(&mut self, range: Range<usize>) {
         let m = self.motif.num_edges();
         let s = self.series(m - 1);
-        let set_flow = s.flow_of_range(range.clone());
+        // Summed element by element like the prefixes in `recurse`: a
+        // prefix-sum difference of inexact flows depends on the series'
+        // history and can round below the direct sum, dropping an
+        // instance whose flow equals ϕ.
+        let set_flow: Flow = s.events()[range.clone()].iter().map(|e| e.flow).sum();
         let flow = self.stack.iter().map(|&(_, f)| f).fold(set_flow, Flow::min);
         if flow < self.motif.phi() || flow <= self.sink.prune_threshold() {
             self.stats.instances_rejected_by_flow += 1;
@@ -589,208 +527,12 @@ impl<'g, G: GraphStore, S: InstanceSink> MatchEnumerator<'_, 'g, G, S> {
     }
 }
 
-/// Runs the full two-phase search (P1 + P2), streaming instances to `sink`.
-pub fn enumerate_with_sink<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    opts: SearchOptions,
-    sink: &mut S,
-) -> SearchStats {
-    enumerate_window_with_sink(g, motif, UNBOUNDED, opts, sink)
-}
-
-/// Runs the two-phase search restricted to the closed time window
-/// `bounds`, streaming instances to `sink`.
-///
-/// All inputs are taken by shared reference and all of them are `Sync`,
-/// so any number of threads may run bounded searches over one graph
-/// concurrently — this is the entry point behind the snapshot reads of
-/// `flowmotif-stream`/`flowmotif-serve` (each thread brings its own
-/// sink and gets its own stats back):
-///
-/// ```
-/// use flowmotif_core::{catalog, enumerate_window_with_sink, CountSink, SearchOptions};
-/// use flowmotif_graph::{GraphBuilder, TimeWindow};
-///
-/// let mut b = GraphBuilder::new();
-/// b.extend_interactions([
-///     (0u32, 1u32, 10i64, 5.0), (1, 2, 12, 4.0), // one 2-hop chain ...
-///     (5, 6, 30, 2.0), (6, 7, 35, 1.0),          // ... and a later one
-/// ]);
-/// let g = b.build_time_series_graph();
-/// let motif = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-///
-/// // Two threads, two windows, one shared graph.
-/// let counts: Vec<u64> = std::thread::scope(|scope| {
-///     [TimeWindow::new(0, 20), TimeWindow::new(25, 40)]
-///         .map(|w| {
-///             let (g, motif) = (&g, &motif);
-///             scope.spawn(move || {
-///                 let mut sink = CountSink::default();
-///                 enumerate_window_with_sink(g, motif, w, SearchOptions::default(), &mut sink);
-///                 sink.count
-///             })
-///         })
-///         .map(|h| h.join().unwrap())
-///         .to_vec()
-/// });
-/// assert_eq!(counts, vec![1, 1]); // 0->1->2 in [0,20]; 5->6->7 in [25,40]
-/// ```
-///
-/// Instances are exactly those a
-/// batch rebuild of the in-window interactions would produce (see
-/// [`enumerate_in_match_bounded`]); only `SearchStats::structural_matches`
-/// may differ from such a rebuild, because phase P1 runs on the resident
-/// graph with window pruning
-/// (a bounded [`crate::matcher::P1Driver`] run), so its cost —
-/// and its visit count — scales with the structure active inside the
-/// window rather than with everything retained.
-pub fn enumerate_window_with_sink<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-    opts: SearchOptions,
-    sink: &mut S,
-) -> SearchStats {
-    let mut scratch = SearchScratch::default();
-    enumerate_window_with_sink_scratch(g, motif, bounds, opts, sink, &mut scratch)
-}
-
-/// [`enumerate_with_sink`] running out of a caller-provided
-/// [`SearchScratch`]: after the first (warm-up) call, repeated searches
-/// perform zero heap allocations beyond what the sink itself keeps.
-pub fn enumerate_with_sink_scratch<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    opts: SearchOptions,
-    sink: &mut S,
-    scratch: &mut SearchScratch,
-) -> SearchStats {
-    enumerate_window_with_sink_scratch(g, motif, UNBOUNDED, opts, sink, scratch)
-}
-
-/// Traced runs clock one P2 call in this many (always including the
-/// first), scaling the sample up to estimate total P2 time; per-match
-/// clock reads would cost more than the work they measure.
-const P2_SAMPLE_EVERY: u64 = 64;
-
-/// [`enumerate_window_with_sink`] running out of a caller-provided
-/// [`SearchScratch`] — the allocation-free steady-state entry point the
-/// streaming engine and server sessions reuse across queries.
-pub fn enumerate_window_with_sink_scratch<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-    opts: SearchOptions,
-    sink: &mut S,
-    scratch: &mut SearchScratch,
-) -> SearchStats {
-    enumerate_floored(g, motif, bounds, Flow::NEG_INFINITY, opts, sink, scratch)
-}
-
-/// [`enumerate_window_with_sink_scratch`] with phase P1 under the
-/// pair-flow floor `floor` ([`P1Driver::flow_floor`]): the instances of
-/// the matches whose pairs all reach the floor, in the same order.
-pub(crate) fn enumerate_floored<G: GraphStore, S: InstanceSink>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-    floor: Flow,
-    opts: SearchOptions,
-    sink: &mut S,
-    scratch: &mut SearchScratch,
-) -> SearchStats {
-    let mut stats = SearchStats::default();
-    // Split the arena: phase P1 walks out of `p1` while each match's
-    // phase P2 runs out of `p2`.
-    let SearchScratch { p1, p2, .. } = scratch;
-    // The traced path times the whole scan plus the inside of a 1-in-64
-    // *sample* of P2 calls (two clock reads per structural match would
-    // dominate short windows; the `metrics` bench gates the traced path
-    // at <5% over untraced). P2 time is the sampled total scaled up by
-    // the sampling ratio, and P1 falls out as total − P2. The untraced
-    // path is the original loop: one well-predicted branch per match,
-    // no clocks.
-    let start = opts.trace.map(|_| std::time::Instant::now());
-    let mut p2_sampled_nanos = 0u64;
-    let mut p2_sampled = 0u64;
-    // P1 trace accounting happens here (total − sampled P2), so the
-    // driver runs untraced.
-    let driver = P1Driver::new(motif.path())
-        .bounds(bounds)
-        .use_index(opts.use_active_index)
-        .extension_order(opts.extension_order)
-        .flow_floor(floor);
-    driver.run(g, p1, &mut |sm| {
-        stats.structural_matches += 1;
-        if opts.trace.is_some() && (stats.structural_matches - 1) % P2_SAMPLE_EVERY == 0 {
-            let t0 = std::time::Instant::now();
-            enumerate_in_match_bounded(g, motif, sm, bounds, opts, sink, &mut stats, p2);
-            p2_sampled_nanos += t0.elapsed().as_nanos() as u64;
-            p2_sampled += 1;
-        } else {
-            enumerate_in_match_bounded(g, motif, sm, bounds, opts, sink, &mut stats, p2);
-        }
-    });
-    if let (Some(trace), Some(start)) = (opts.trace, start) {
-        let total = start.elapsed().as_nanos() as u64;
-        // Scale the sample to the full match count, clamped to the
-        // measured total so P1 = total − P2 can never underflow.
-        let p2_nanos = p2_sampled_nanos
-            .saturating_mul(stats.structural_matches)
-            .checked_div(p2_sampled)
-            .map_or(0, |v| v.min(total));
-        trace.record(TraceStage::P1, total - p2_nanos, stats.structural_matches);
-        trace.record(TraceStage::P2, p2_nanos, stats.instances_emitted);
-    }
-    stats
-}
-
-/// Convenience: collects the maximal instances inside `bounds`, grouped by
-/// structural match.
-pub fn enumerate_all_in_window<G: GraphStore>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-    let mut sink = CollectSink::default();
-    let stats = enumerate_window_with_sink(g, motif, bounds, SearchOptions::default(), &mut sink);
-    (sink.groups, stats)
-}
-
-/// Convenience: counts the maximal instances inside `bounds`.
-pub fn count_instances_in_window<G: GraphStore>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-) -> (u64, SearchStats) {
-    let mut sink = CountSink::default();
-    let stats = enumerate_window_with_sink(g, motif, bounds, SearchOptions::default(), &mut sink);
-    (sink.count, stats)
-}
-
-/// Convenience: collects all maximal instances grouped by structural match.
-pub fn enumerate_all<G: GraphStore>(
-    g: &G,
-    motif: &Motif,
-) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-    let mut sink = CollectSink::default();
-    let stats = enumerate_with_sink(g, motif, SearchOptions::default(), &mut sink);
-    (sink.groups, stats)
-}
-
-/// Convenience: counts all maximal instances.
-pub fn count_instances<G: GraphStore>(g: &G, motif: &Motif) -> (u64, SearchStats) {
-    let mut sink = CountSink::default();
-    let stats = enumerate_with_sink(g, motif, SearchOptions::default(), &mut sink);
-    (sink.count, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
     use crate::instance::StructuralMatch;
+    use crate::Query;
     use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
 
     /// The structural match of paper Fig. 7: a 3-cycle 0 -> 1 -> 2 -> 0
@@ -825,7 +567,9 @@ mod tests {
         let motif = catalog::by_name("M(3,3)", 10, phi).unwrap();
         let mut sink = CollectSink::default();
         let mut stats = SearchStats::default();
-        enumerate_in_match(&g, &motif, &sm, SearchOptions::default(), &mut sink, &mut stats);
+        let opts = SearchOptions::default();
+        let scratch = &mut EnumerationScratch::default();
+        enumerate_in_match(&g, &motif, &sm, None, opts, &mut sink, &mut stats, scratch);
         let insts = sink.groups.pop().map(|(_, v)| v).unwrap_or_default();
         (insts, stats)
     }
@@ -899,7 +643,8 @@ mod tests {
                     .build();
                 let mut sink = CollectSink::default();
                 let mut stats = SearchStats::default();
-                enumerate_in_match(&g, &motif, &sm, opts, &mut sink, &mut stats);
+                let scratch = &mut EnumerationScratch::default();
+                enumerate_in_match(&g, &motif, &sm, None, opts, &mut sink, &mut stats, scratch);
                 let shown = rendered(&g, &sink.groups.pop().map(|(_, v)| v).unwrap_or_default());
                 match &expected {
                     None => expected = Some(shown),
@@ -928,7 +673,7 @@ mod tests {
         ]);
         let g = b.build_time_series_graph();
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-        let (groups, stats) = enumerate_all(&g, &motif);
+        let (groups, stats) = Query::new(&motif).collect(&g);
         assert_eq!(stats.structural_matches, 6);
         // The Fig. 4(a) instance: u3 -> u1 -> u2 -> u3 with edge-sets
         // {(10,10)}, {(13,5),(15,7)}, {(18,20)} and flow 10.
@@ -955,7 +700,7 @@ mod tests {
         b.extend_interactions([(0u32, 1u32, 1i64, 1.0)]);
         let g = b.build_time_series_graph();
         let motif = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        let (count, stats) = count_instances(&g, &motif);
+        let (count, stats) = Query::new(&motif).count(&g);
         assert_eq!(count, 0);
         assert_eq!(stats.structural_matches, 0);
     }
@@ -968,13 +713,13 @@ mod tests {
         b.extend_interactions([(0u32, 1u32, 1i64, 2.0), (1, 2, 2, 3.0)]);
         let g = b.build_time_series_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        assert_eq!(count_instances(&g, &m).0, 1);
+        assert_eq!(Query::new(&m).count(&g).0, 1);
         let m = catalog::by_name("M(3,2)", 10, 2.0).unwrap();
-        assert_eq!(count_instances(&g, &m).0, 1);
+        assert_eq!(Query::new(&m).count(&g).0, 1);
         let m = catalog::by_name("M(3,2)", 10, 2.5).unwrap();
-        assert_eq!(count_instances(&g, &m).0, 0, "ϕ=2.5 kills the e1 flow of 2");
+        assert_eq!(Query::new(&m).count(&g).0, 0, "ϕ=2.5 kills the e1 flow of 2");
         let m = catalog::by_name("M(3,2)", 0, 0.0).unwrap();
-        assert_eq!(count_instances(&g, &m).0, 0, "δ=0 cannot span t=1..2");
+        assert_eq!(Query::new(&m).count(&g).0, 0, "δ=0 cannot span t=1..2");
     }
 
     #[test]
@@ -984,7 +729,7 @@ mod tests {
         b.extend_interactions([(0u32, 1u32, 5i64, 1.0), (1, 2, 5, 1.0)]);
         let g = b.build_time_series_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        assert_eq!(count_instances(&g, &m).0, 0);
+        assert_eq!(Query::new(&m).count(&g).0, 0);
     }
 
     #[test]
@@ -1011,7 +756,9 @@ mod tests {
         };
         let mut sink = CollectSink::default();
         let mut stats = SearchStats::default();
-        enumerate_in_match(&g, &motif, &sm, SearchOptions::default(), &mut sink, &mut stats);
+        let opts = SearchOptions::default();
+        let scratch = &mut EnumerationScratch::default();
+        enumerate_in_match(&g, &motif, &sm, None, opts, &mut sink, &mut stats, scratch);
         let mut algo: Vec<String> = sink
             .groups
             .pop()
@@ -1060,9 +807,9 @@ mod tests {
         ]);
         let g = b.build_time_series_graph();
         let motif = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
-        let (plain, plain_stats) = enumerate_all(&g, &motif);
-        let w = TimeWindow::new(Timestamp::MIN, Timestamp::MAX);
-        let (windowed, win_stats) = enumerate_all_in_window(&g, &motif, w);
+        let (plain, plain_stats) = Query::new(&motif).collect(&g);
+        let bounds = Some(TimeWindow::new(Timestamp::MIN, Timestamp::MAX));
+        let (windowed, win_stats) = Query { bounds, ..Query::new(&motif) }.collect(&g);
         assert_eq!(canonical(&g, &plain), canonical(&g, &windowed));
         assert_eq!(plain_stats, win_stats);
     }
@@ -1072,7 +819,7 @@ mod tests {
         // The Fig. 7 fixture, queried over several windows: the borrowed
         // windowed search must agree with a batch rebuild of only the
         // in-window interactions.
-        let edges = [
+        let fig7 = vec![
             (0u32, 1u32, 10i64, 5.0),
             (0, 1, 13, 2.0),
             (0, 1, 15, 3.0),
@@ -1085,17 +832,30 @@ mod tests {
             (2, 0, 24, 3.0),
             (2, 0, 25, 2.0),
         ];
-        let mut b = GraphBuilder::new();
-        b.extend_interactions(edges);
-        let g = b.build_time_series_graph();
-        let motif = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
-        for (a, z) in [(9, 25), (10, 20), (12, 24), (14, 16), (0, 5), (11, 19)] {
-            let (windowed, _) = enumerate_all_in_window(&g, &motif, TimeWindow::new(a, z));
-            let mut rb = GraphBuilder::new();
-            rb.extend_interactions(edges.iter().copied().filter(|&(_, _, t, _)| a <= t && t <= z));
-            let rg = rb.build_time_series_graph();
-            let (rebuilt, _) = enumerate_all(&rg, &motif);
-            assert_eq!(canonical(&g, &windowed), canonical(&rg, &rebuilt), "window [{a}, {z}]");
+        let fig7_windows = vec![(9, 25), (10, 20), (12, 24), (14, 16), (0, 5), (11, 19)];
+        // Decimal flows: in the resident series of (1, 2) the last edge
+        // set {(89, 0.3)} follows 2.3, and the prefix-sum difference
+        // 2.6 − 2.3 rounds to 0.2999…98 < ϕ. The rebuild holds 0.3 alone.
+        let decimal = vec![(0u32, 1u32, 71i64, 1.0), (1, 2, 50, 2.3), (1, 2, 89, 0.3)];
+        let fixtures = [
+            (fig7, catalog::by_name("M(3,3)", 10, 0.0).unwrap(), fig7_windows),
+            (decimal, catalog::by_name("M(3,2)", 37, 0.3).unwrap(), vec![(68, 117)]),
+        ];
+        for (edges, motif, windows) in fixtures {
+            let mut b = GraphBuilder::new();
+            b.extend_interactions(edges.iter().copied());
+            let g = b.build_time_series_graph();
+            for (a, z) in windows {
+                let bounds = Some(TimeWindow::new(a, z));
+                let (windowed, _) = Query { bounds, ..Query::new(&motif) }.collect(&g);
+                let mut rb = GraphBuilder::new();
+                rb.extend_interactions(
+                    edges.iter().copied().filter(|&(_, _, t, _)| a <= t && t <= z),
+                );
+                let rg = rb.build_time_series_graph();
+                let (rebuilt, _) = Query::new(&motif).collect(&rg);
+                assert_eq!(canonical(&g, &windowed), canonical(&rg, &rebuilt), "window [{a}, {z}]");
+            }
         }
     }
 
@@ -1108,12 +868,14 @@ mod tests {
         b.extend_interactions([(0u32, 1u32, 10i64, 1.0), (1, 2, 12, 2.0), (1, 2, 30, 4.0)]);
         let g = b.build_time_series_graph();
         let motif = catalog::by_name("M(3,2)", 100, 0.0).unwrap();
-        let (groups, _) = enumerate_all_in_window(&g, &motif, TimeWindow::new(5, 20));
+        let bounds = Some(TimeWindow::new(5, 20));
+        let (groups, _) = Query { bounds, ..Query::new(&motif) }.collect(&g);
         let insts: Vec<_> = groups.iter().flat_map(|(_, v)| v.iter()).collect();
         assert_eq!(insts.len(), 1);
         assert_eq!(insts[0].display(&g), "[e1 <- {(10, 1)}, e2 <- {(12, 2)}]");
         // Whole-span query sees the full instance instead.
-        let (groups, _) = enumerate_all_in_window(&g, &motif, TimeWindow::new(0, 100));
+        let bounds = Some(TimeWindow::new(0, 100));
+        let (groups, _) = Query { bounds, ..Query::new(&motif) }.collect(&g);
         let insts: Vec<_> = groups.iter().flat_map(|(_, v)| v.iter()).collect();
         assert_eq!(insts.len(), 1);
         assert_eq!(insts[0].display(&g), "[e1 <- {(10, 1)}, e2 <- {(12, 2), (30, 4)}]");

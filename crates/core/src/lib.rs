@@ -17,7 +17,7 @@
 //! reported (Def. 3.3).
 //!
 //! ```
-//! use flowmotif_core::{catalog, enumerate_all};
+//! use flowmotif_core::{catalog, Query};
 //! use flowmotif_graph::GraphBuilder;
 //!
 //! // The paper's Fig. 2 bitcoin example.
@@ -31,7 +31,7 @@
 //!
 //! // Cyclic transactions within δ=10 moving at least ϕ=7 per hop.
 //! let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-//! let (groups, stats) = enumerate_all(&g, &motif);
+//! let (groups, stats) = Query::new(&motif).collect(&g);
 //! assert_eq!(stats.structural_matches, 6);
 //! let instances: usize = groups.iter().map(|(_, v)| v.len()).sum();
 //! assert_eq!(instances, 1); // the Fig. 4(a) instance
@@ -53,6 +53,7 @@ pub mod instance;
 pub mod matcher;
 pub mod motif;
 pub mod parallel;
+pub mod query;
 pub mod scratch;
 pub mod topk;
 pub mod trace;
@@ -60,10 +61,7 @@ pub mod validate;
 
 pub use delta::{DeltaContext, DeltaEdge, DeltaInstance, DeltaStats};
 pub use enumerate::{
-    count_instances, count_instances_in_window, enumerate_all, enumerate_all_in_window,
-    enumerate_in_match, enumerate_in_match_bounded, enumerate_in_match_reusing,
-    enumerate_window_with_sink, enumerate_window_with_sink_scratch, enumerate_with_sink,
-    enumerate_with_sink_scratch, CollectSink, CountSink, EnumerationScratch, FnSink, InstanceSink,
+    enumerate_in_match, CollectSink, CountSink, EnumerationScratch, FnSink, InstanceSink,
     SearchOptions, SearchOptionsBuilder, SearchStats,
 };
 pub use error::MotifError;
@@ -72,6 +70,8 @@ pub use matcher::{
     count_structural_matches, find_structural_matches, ExtensionOrder, MatchScratch, P1Driver,
 };
 pub use motif::{Motif, MotifNode, SpanningPath};
+pub use parallel::ParOptions;
+pub use query::Query;
 pub use scratch::SearchScratch;
 pub use trace::{AtomicTrace, PassRecord, TraceSink, TraceStage};
 
@@ -86,6 +86,7 @@ const _: () = {
     assert_send_sync::<Motif>();
     assert_send_sync::<SearchOptions>();
     assert_send_sync::<SearchStats>();
+    assert_send_sync::<Query<'_>>();
     assert_send_sync::<StructuralMatch>();
     assert_send_sync::<MotifInstance>();
 };

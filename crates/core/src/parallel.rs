@@ -13,24 +13,23 @@
 //! thread count, block size and hub splitting (every match belongs to
 //! exactly one task), which the determinism suite pins down.
 //!
-//! Bounded scans ([`par_count_instances_in_window`],
-//! [`par_enumerate_window`]) run the window-pruned phase P1: each task
-//! pulls only its own origin shard out of the active-origin index
+//! This module also holds the scan body every search runs: phase P1
+//! over one shard (or every origin) feeding phase P2 inside each match.
+//! [`crate::Query`] runs it on the caller's thread or, with
+//! [`crate::Query::par`] set, on the workers here. A bounded task pulls
+//! only its own origin shard out of the active-origin index
 //! ([`flowmotif_graph::TimeSeriesGraph::active_origins_in_range`]), so
 //! parallel queries never materialise one global candidate list.
 
-use crate::cutoff::cutoff_passes;
-use crate::enumerate::{
-    enumerate_in_match_bounded, CollectSink, CountSink, InstanceSink, SearchOptions, SearchStats,
-    UNBOUNDED,
-};
+use crate::enumerate::{enumerate_in_match, InstanceSink, SearchOptions, SearchStats};
 use crate::instance::{InstanceView, MotifInstance, StructuralMatch};
 use crate::matcher::P1Driver;
 use crate::motif::Motif;
+use crate::query::Query;
 use crate::scratch::SearchScratch;
-use crate::topk::{pass_outcome, rank_order, RankedInstance, TopKSink};
+use crate::topk::RankedInstance;
 use crate::trace::TraceStage;
-use flowmotif_graph::{Flow, GraphStore, NodeId, TimeWindow};
+use flowmotif_graph::{Flow, GraphStore, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scheduling knobs for the parallel drivers. The defaults suit skewed
@@ -67,7 +66,7 @@ impl ParOptions {
 }
 
 /// Picks a worker count: `threads = 0` means "all available cores".
-fn effective_threads(threads: usize) -> usize {
+pub(crate) fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -79,7 +78,7 @@ fn effective_threads(threads: usize) -> usize {
 /// match set: a match belongs to the task owning its walk origin — or,
 /// for a split hub, the task owning its first-step pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Task {
+pub(crate) enum Task {
     /// Phase P1+P2 over a contiguous origin range.
     Origins(std::ops::Range<NodeId>),
     /// One chunk of a heavy hub: matches of `origin` whose first walk
@@ -125,81 +124,86 @@ fn build_tasks<G: GraphStore>(g: &G, opts: ParOptions) -> Vec<Task> {
     tasks
 }
 
-/// What one parallel scan searches: the motif, the window and the P1
-/// pair-flow floor (`-∞` for none).
-#[derive(Clone, Copy)]
-struct Scan<'a> {
-    motif: &'a Motif,
-    bounds: TimeWindow,
-    floor: Flow,
-}
+/// Traced scans clock one P2 call in this many (always including a
+/// scan's first), scaling the sample up to estimate total P2 time;
+/// per-match clock reads would cost more than the work they measure.
+const P2_SAMPLE_EVERY: u64 = 64;
 
-impl<'a> Scan<'a> {
-    fn new(motif: &'a Motif, bounds: TimeWindow) -> Self {
-        Self { motif, bounds, floor: Flow::NEG_INFINITY }
-    }
-}
-
-/// Runs one task's P1+P2 into the worker's sink/stats/scratch.
-fn run_task<G: GraphStore, S: InstanceSink>(
+/// The scan body of every search: phase P1 of `q` under the pair-flow
+/// floor `floor` (`-∞` for none) over `task`'s shard, or every origin
+/// for `None`, and phase P2 inside each match into `sink`. Counters add
+/// to `stats`.
+///
+/// A traced scan times its whole run plus the inside of a 1-in-64
+/// sample of its P2 calls (two clock reads per structural match would
+/// dominate short windows). P2 is the sampled time scaled up by the
+/// sampling ratio, and P1 is the rest. The untraced scan pays one
+/// well-predicted branch per match and no clocks.
+pub(crate) fn scan<G: GraphStore, S: InstanceSink>(
     g: &G,
-    scan: Scan<'_>,
-    opts: SearchOptions,
-    task: &Task,
+    q: &Query<'_>,
+    floor: Flow,
+    task: Option<&Task>,
     sink: &mut S,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) {
-    let Scan { motif, bounds, floor } = scan;
+    let Query { motif, bounds, opts, .. } = *q;
     let SearchScratch { p1, p2, .. } = scratch;
-    // Traced runs time the task total and the inside of every P2 call
-    // (P1 = total − P2), mirroring the sequential driver; stats are
-    // cumulative across a worker's tasks, so counts are deltas.
     let start = opts.trace.map(|_| std::time::Instant::now());
-    let mut p2_nanos = 0u64;
     let (sm0, em0) = (stats.structural_matches, stats.instances_emitted);
-    let mut visit = |sm: &StructuralMatch| {
-        stats.structural_matches += 1;
-        if opts.trace.is_some() {
-            let t0 = std::time::Instant::now();
-            enumerate_in_match_bounded(g, motif, sm, bounds, opts, sink, stats, p2);
-            p2_nanos += t0.elapsed().as_nanos() as u64;
-        } else {
-            enumerate_in_match_bounded(g, motif, sm, bounds, opts, sink, stats, p2);
-        }
-    };
-    let driver = P1Driver::new(motif.path())
-        .bounds(bounds)
+    let (mut p2_sampled_nanos, mut p2_sampled) = (0u64, 0u64);
+    let mut driver = P1Driver::new(motif.path())
         .use_index(opts.use_active_index)
         .extension_order(opts.extension_order)
         .flow_floor(floor);
+    if let Some(w) = bounds {
+        driver = driver.bounds(w);
+    }
     let driver = match task {
-        Task::Origins(r) => driver.origins(r.clone()),
-        Task::HubPairs { origin, pairs } => driver.from_origin(*origin, pairs.clone()),
+        None => driver,
+        Some(Task::Origins(r)) => driver.origins(r.clone()),
+        Some(Task::HubPairs { origin, pairs }) => driver.from_origin(*origin, pairs.clone()),
     };
-    driver.run(g, p1, &mut visit);
+    driver.run(g, p1, &mut |sm| {
+        stats.structural_matches += 1;
+        if opts.trace.is_some()
+            && (stats.structural_matches - sm0 - 1).is_multiple_of(P2_SAMPLE_EVERY)
+        {
+            let t0 = std::time::Instant::now();
+            enumerate_in_match(g, motif, sm, bounds, opts, sink, stats, p2);
+            p2_sampled_nanos += t0.elapsed().as_nanos() as u64;
+            p2_sampled += 1;
+        } else {
+            enumerate_in_match(g, motif, sm, bounds, opts, sink, stats, p2);
+        }
+    });
     if let (Some(trace), Some(start)) = (opts.trace, start) {
         let total = start.elapsed().as_nanos() as u64;
-        trace.record(
-            TraceStage::P1,
-            total.saturating_sub(p2_nanos),
-            stats.structural_matches - sm0,
-        );
+        let matches = stats.structural_matches - sm0;
+        // Scale the sample to the scan's match count, clamped to the
+        // measured total so P1 = total − P2 can never underflow.
+        let p2_nanos = p2_sampled_nanos
+            .saturating_mul(matches)
+            .checked_div(p2_sampled)
+            .map_or(0, |v| v.min(total));
+        trace.record(TraceStage::P1, total - p2_nanos, matches);
         trace.record(TraceStage::P2, p2_nanos, stats.instances_emitted - em0);
     }
 }
 
-/// Runs the two-phase search with one sink per worker; returns the sinks
-/// and the merged stats. Workers steal tasks from a shared queue (an
-/// atomic cursor over the deterministic task list), so a straggler hub
-/// chunk never serialises the scan.
-fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
+/// Runs the scan of `q` under `floor` with one sink per worker; returns
+/// the sinks and the merged stats. Workers steal tasks from a shared
+/// queue (an atomic cursor over the deterministic task list), so a
+/// straggler hub chunk never serialises the scan.
+pub(crate) fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
     g: &G,
-    scan: Scan<'_>,
-    opts: SearchOptions,
+    q: &Query<'_>,
+    floor: Flow,
     par: ParOptions,
     sinks: Vec<S>,
 ) -> (Vec<S>, SearchStats) {
+    let trace = q.opts.trace;
     let tasks = build_tasks(g, par);
     let next = AtomicUsize::new(0);
     let results: Vec<(S, SearchStats)> = std::thread::scope(|scope| {
@@ -219,15 +223,13 @@ fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
                         let Some(task) = tasks.get(i) else { break };
                         claimed += 1;
                         sink.begin_task(i);
-                        if opts.trace.is_some() {
-                            let t0 = std::time::Instant::now();
-                            run_task(g, scan, opts, task, &mut sink, &mut stats, &mut scratch);
+                        let t0 = trace.map(|_| std::time::Instant::now());
+                        scan(g, q, floor, Some(task), &mut sink, &mut stats, &mut scratch);
+                        if let Some(t0) = t0 {
                             busy += t0.elapsed().as_nanos() as u64;
-                        } else {
-                            run_task(g, scan, opts, task, &mut sink, &mut stats, &mut scratch);
                         }
                     }
-                    if let Some(trace) = opts.trace {
+                    if let Some(trace) = trace {
                         trace.worker(wi, claimed, busy);
                     }
                     (sink, stats)
@@ -245,87 +247,13 @@ fn par_scan<G: GraphStore + Sync, S: InstanceSink + Send>(
     (sinks, stats)
 }
 
-/// Parallel instance counting. `threads = 0` uses all cores.
-pub fn par_count_instances<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    threads: usize,
-) -> (u64, SearchStats) {
-    par_count_instances_with(g, motif, SearchOptions::default(), ParOptions::with_threads(threads))
-}
-
-/// [`par_count_instances`] with explicit search and scheduling options.
-pub fn par_count_instances_with<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    opts: SearchOptions,
-    par: ParOptions,
-) -> (u64, SearchStats) {
-    par_count_instances_in_window(g, motif, UNBOUNDED, opts, par)
-}
-
-/// Parallel instance counting restricted to the closed window `bounds`:
-/// the bounded, index-assisted phase P1 with per-shard candidate pulls.
-pub fn par_count_instances_in_window<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-    opts: SearchOptions,
-    par: ParOptions,
-) -> (u64, SearchStats) {
-    let workers = effective_threads(par.threads);
-    let sinks = (0..workers).map(|_| CountSink::default()).collect();
-    let (sinks, stats) = par_scan(g, Scan::new(motif, bounds), opts, par, sinks);
-    (sinks.iter().map(|s| s.count).sum(), stats)
-}
-
-/// Parallel full enumeration. Groups arrive in worker order (i.e. not
-/// globally sorted); each structural match still owns one contiguous
-/// group per worker (a split hub's matches stay whole — chunks partition
-/// matches, never one match's instances).
-pub fn par_enumerate_all<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    threads: usize,
-) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-    par_enumerate_all_with(g, motif, SearchOptions::default(), ParOptions::with_threads(threads))
-}
-
-/// [`par_enumerate_all`] with explicit search and scheduling options.
-pub fn par_enumerate_all_with<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    opts: SearchOptions,
-    par: ParOptions,
-) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-    par_enumerate_window(g, motif, UNBOUNDED, opts, par)
-}
-
-/// Parallel enumeration restricted to the closed window `bounds`.
-pub fn par_enumerate_window<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    bounds: TimeWindow,
-    opts: SearchOptions,
-    par: ParOptions,
-) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-    let workers = effective_threads(par.threads);
-    let sinks = (0..workers).map(|_| CollectSink::default()).collect();
-    let (sinks, stats) = par_scan(g, Scan::new(motif, bounds), opts, par, sinks);
-    let mut groups = Vec::new();
-    for s in sinks {
-        groups.extend(s.groups);
-    }
-    (groups, stats)
-}
-
 /// Counts instances and keeps the first `limit` it is offered, each
 /// tagged with the index of the task that found it.
-struct SampleSink {
-    count: u64,
-    limit: usize,
-    task: usize,
-    sample: Vec<(usize, StructuralMatch, MotifInstance)>,
+pub(crate) struct SampleSink {
+    pub(crate) count: u64,
+    pub(crate) limit: usize,
+    pub(crate) task: usize,
+    pub(crate) sample: Vec<(usize, StructuralMatch, MotifInstance)>,
 }
 
 impl InstanceSink for SampleSink {
@@ -341,48 +269,19 @@ impl InstanceSink for SampleSink {
     }
 }
 
-/// Parallel count of the instances, plus the first `show` of them in
-/// scan order — the order a single worker finds them in — whatever the
-/// thread count and schedule. Only the sample is materialised, never the
-/// instance set.
-pub fn par_count_and_sample_with<G: GraphStore + Sync>(
+/// [`Query::collect`] of `motif` on the workers of `par`. Kept until the
+/// end-to-end benchmark stops importing it (ROADMAP item 2).
+pub fn par_enumerate_all_with<G: GraphStore + Sync>(
     g: &G,
     motif: &Motif,
-    show: usize,
     opts: SearchOptions,
     par: ParOptions,
-) -> (u64, Vec<(StructuralMatch, MotifInstance)>, SearchStats) {
-    let workers = effective_threads(par.threads);
-    let sinks = (0..workers)
-        .map(|_| SampleSink { count: 0, limit: show, task: 0, sample: Vec::new() })
-        .collect();
-    let (sinks, stats) = par_scan(g, Scan::new(motif, UNBOUNDED), opts, par, sinks);
-    let count = sinks.iter().map(|s| s.count).sum();
-    // A worker claims tasks in ascending order, so its sample is its
-    // first `show` instances in scan order, and the scan's first `show`
-    // are among the workers' samples. A stable sort by task merges them.
-    let mut sample: Vec<_> = sinks.into_iter().flat_map(|s| s.sample).collect();
-    sample.sort_by_key(|&(task, _, _)| task);
-    sample.truncate(show);
-    (count, sample.into_iter().map(|(_, sm, inst)| (sm, inst)).collect(), stats)
+) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
+    Query { opts, par: Some(par), ..Query::new(motif) }.collect(g)
 }
 
-/// Parallel top-k: each worker keeps a local top-k heap; heaps are merged
-/// in [`rank_order`] at the end. The floating threshold is per-worker, so
-/// pruning is weaker than in the sequential version, but results are
-/// identical — the same instances in the same order. Like
-/// [`crate::topk::top_k`], the search runs as [`crate::cutoff`] passes
-/// (reported to the trace, if any); the stats sum over the passes.
-pub fn par_top_k<G: GraphStore + Sync>(
-    g: &G,
-    motif: &Motif,
-    k: usize,
-    threads: usize,
-) -> (Vec<RankedInstance>, SearchStats) {
-    par_top_k_with(g, motif, k, SearchOptions::default(), ParOptions::with_threads(threads))
-}
-
-/// [`par_top_k`] with explicit search and scheduling options.
+/// [`Query::top_k`] of `motif` on the workers of `par`. Kept until the
+/// end-to-end benchmark stops importing it (ROADMAP item 2).
 pub fn par_top_k_with<G: GraphStore + Sync>(
     g: &G,
     motif: &Motif,
@@ -390,23 +289,7 @@ pub fn par_top_k_with<G: GraphStore + Sync>(
     opts: SearchOptions,
     par: ParOptions,
 ) -> (Vec<RankedInstance>, SearchStats) {
-    let workers = effective_threads(par.threads);
-    let mut ranked = Vec::new();
-    let mut stats = SearchStats::default();
-    cutoff_passes(g, k, motif.phi(), opts.trace, |floor| {
-        let sinks = (0..workers).map(|_| TopKSink::new(k)).collect();
-        let scan = Scan { floor, ..Scan::new(motif, UNBOUNDED) };
-        let (sinks, pass_stats) = par_scan(g, scan, opts, par, sinks);
-        stats.merge(&pass_stats);
-        ranked.clear();
-        for s in sinks {
-            ranked.extend(s.into_sorted());
-        }
-        ranked.sort_by(|a, b| rank_order(&a.instance, &b.instance));
-        ranked.truncate(k);
-        pass_outcome(&ranked, k)
-    });
-    (ranked, stats)
+    Query { opts, par: Some(par), ..Query::new(motif) }.top_k(g, k)
 }
 
 /// A deterministic model of the scheduler, for benches and tests on
@@ -461,8 +344,6 @@ pub fn scheduler_makespan<G: GraphStore>(g: &G, motif: &Motif, par: ParOptions) 
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::enumerate::{count_instances, enumerate_all};
-    use crate::topk::top_k;
     use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
     use flowmotif_util::rng::StdRng;
     use flowmotif_util::rng::{RngExt, SeedableRng};
@@ -486,9 +367,10 @@ mod tests {
         let g = random_graph(200, 900, 7);
         for name in ["M(3,2)", "M(3,3)", "M(4,3)"] {
             let m = catalog::by_name(name, 50, 3.0).unwrap();
-            let (seq, seq_stats) = count_instances(&g, &m);
+            let (seq, seq_stats) = Query::new(&m).count(&g);
             for threads in [1, 2, 4] {
-                let (par, par_stats) = par_count_instances(&g, &m, threads);
+                let par = Some(ParOptions::with_threads(threads));
+                let (par, par_stats) = Query { par, ..Query::new(&m) }.count(&g);
                 assert_eq!(par, seq, "{name} threads={threads}");
                 assert_eq!(par_stats.structural_matches, seq_stats.structural_matches);
                 assert_eq!(par_stats.instances_emitted, seq_stats.instances_emitted);
@@ -500,8 +382,9 @@ mod tests {
     fn parallel_enumeration_collects_same_instances() {
         let g = random_graph(150, 700, 11);
         let m = catalog::by_name("M(3,2)", 60, 2.0).unwrap();
-        let (seq, _) = enumerate_all(&g, &m);
-        let (par, _) = par_enumerate_all(&g, &m, 3);
+        let (seq, _) = Query::new(&m).collect(&g);
+        let (par, _) =
+            Query { par: Some(ParOptions::with_threads(3)), ..Query::new(&m) }.collect(&g);
         let norm = |groups: &[(StructuralMatch, Vec<MotifInstance>)]| {
             let mut v: Vec<String> = groups
                 .iter()
@@ -520,8 +403,9 @@ mod tests {
         let g = random_graph(120, 800, 13);
         let m = catalog::by_name("M(3,2)", 60, 0.0).unwrap();
         for k in [1, 5, 20] {
-            let (seq, _) = top_k(&g, &m, k);
-            let (par, _) = par_top_k(&g, &m, k, 4);
+            let (seq, _) = Query::new(&m).top_k(&g, k);
+            let (par, _) =
+                Query { par: Some(ParOptions::with_threads(4)), ..Query::new(&m) }.top_k(&g, k);
             let sf: Vec<_> = seq.iter().map(|r| r.instance.flow).collect();
             let pf: Vec<_> = par.iter().map(|r| r.instance.flow).collect();
             assert_eq!(sf, pf, "k={k}");
@@ -534,9 +418,10 @@ mod tests {
         let g = random_graph(80, 400, 29);
         let m = catalog::by_name("M(3,2)", 60, 0.0).unwrap();
         let trace: &'static AtomicTrace = Box::leak(Box::new(AtomicTrace::new()));
-        let opts = SearchOptions::default().with_trace(Some(trace));
-        let (traced, stats) = par_count_instances_with(&g, &m, opts, ParOptions::with_threads(2));
-        let (plain, _) = par_count_instances(&g, &m, 2);
+        let plain = Query { par: Some(ParOptions::with_threads(2)), ..Query::new(&m) };
+        let opts = SearchOptions { trace: Some(trace), ..SearchOptions::default() };
+        let (traced, stats) = Query { opts, ..plain }.count(&g);
+        let (plain, _) = plain.count(&g);
         assert_eq!(traced, plain, "tracing must not change results");
         assert_eq!(trace.count(TraceStage::P1), stats.structural_matches);
         assert_eq!(trace.count(TraceStage::P2), stats.instances_emitted);
@@ -549,8 +434,8 @@ mod tests {
     fn zero_threads_means_all_cores() {
         let g = random_graph(60, 300, 17);
         let m = catalog::by_name("M(3,2)", 60, 0.0).unwrap();
-        let (seq, _) = count_instances(&g, &m);
-        let (par, _) = par_count_instances(&g, &m, 0);
+        let (seq, _) = Query::new(&m).count(&g);
+        let (par, _) = Query { par: Some(ParOptions::with_threads(0)), ..Query::new(&m) }.count(&g);
         assert_eq!(par, seq);
     }
 

@@ -10,9 +10,8 @@
 //! [`crate::InstanceView`]. Nothing emitted is owned by the callee —
 //! callers that keep results copy explicitly, callers that count or
 //! aggregate never touch the heap. All of those working buffers live
-//! here, so one warm `SearchScratch` makes a full
-//! [`crate::enumerate_with_sink_scratch`] /
-//! [`crate::topk::top_k`] pass allocation-free per match (proven by the
+//! here, so one warm `SearchScratch` makes a full [`crate::Query::run`]
+//! allocation-free per match, top-k sinks included (proven by the
 //! `alloc_profile` bench, which runs under a counting global allocator).
 //!
 //! The arena deliberately borrows nothing from any graph (series are
@@ -39,6 +38,6 @@ pub struct SearchScratch {
     /// buffer.
     pub p2: EnumerationScratch,
     /// The window-DP fast path buffers (Algorithm 2, used by
-    /// [`crate::dp::dp_top1_scratch`]).
+    /// [`crate::Query::top1`]).
     pub dp: DpScratch,
 }

@@ -8,16 +8,13 @@
 //! by the instances' edge sets ([`rank_order`]), so every search order
 //! and thread count returns the same instances in the same order.
 //!
-//! [`top_k`] also pushes the bound into phase P1: it runs the search as
-//! [`crate::cutoff`] passes, each binding only pairs heavy enough to
-//! carry a top-k instance.
+//! [`crate::Query::top_k`] also pushes the bound into phase P1: it runs
+//! the search as [`crate::cutoff`] passes, each binding only pairs heavy
+//! enough to carry a top-k instance.
 
-use crate::cutoff::{cutoff_passes, PassOutcome};
-use crate::enumerate::{enumerate_floored, InstanceSink, SearchOptions, SearchStats, UNBOUNDED};
+use crate::enumerate::InstanceSink;
 use crate::instance::{EdgeSet, InstanceView, MotifInstance, StructuralMatch};
-use crate::motif::Motif;
-use crate::scratch::SearchScratch;
-use flowmotif_graph::{Flow, GraphStore};
+use flowmotif_graph::Flow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -171,51 +168,21 @@ impl InstanceSink for TopKSink {
     }
 }
 
-/// Finds the `k` maximal instances of `motif` with the highest flow.
-///
-/// `motif.phi()` still applies as a hard lower bound; pass `ϕ = 0` for the
-/// paper's pure ranking semantics (§5 runs top-k with `ϕ = 0`).
-///
-/// The search runs as [`crate::cutoff`] passes; the result is that of a
-/// single search without a floor, and the stats sum over the passes.
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn top_k<G: GraphStore>(g: &G, motif: &Motif, k: usize) -> (Vec<RankedInstance>, SearchStats) {
-    let mut ranked = Vec::new();
-    let mut stats = SearchStats::default();
-    let mut scratch = SearchScratch::default();
-    cutoff_passes(g, k, motif.phi(), None, |floor| {
-        let mut sink = TopKSink::new(k);
-        let opts = SearchOptions::default();
-        stats.merge(&enumerate_floored(g, motif, UNBOUNDED, floor, opts, &mut sink, &mut scratch));
-        ranked = sink.into_sorted();
-        pass_outcome(&ranked, k)
-    });
-    (ranked, stats)
-}
-
-/// A top-k pass's outcome from its ranked results.
-pub(crate) fn pass_outcome(ranked: &[RankedInstance], k: usize) -> PassOutcome {
-    PassOutcome {
-        found: ranked.len(),
-        kth_flow: ranked.get(k - 1).map_or(Flow::NEG_INFINITY, |r| r.instance.flow),
-    }
-}
-
-/// Convenience for Fig. 11: the flow of the `k`-th ranked instance, or
-/// `None` if fewer than `k` instances exist.
-pub fn kth_instance_flow<G: GraphStore>(g: &G, motif: &Motif, k: usize) -> Option<Flow> {
-    let (ranked, _) = top_k(g, motif, k);
-    (ranked.len() >= k).then(|| ranked[k - 1].instance.flow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::enumerate::{enumerate_with_sink, CollectSink};
+    use crate::motif::Motif;
+    use crate::{Query, SearchScratch};
     use flowmotif_graph::{GraphBuilder, TimeSeriesGraph};
+
+    fn top_k(g: &TimeSeriesGraph, m: &Motif, k: usize) -> Vec<RankedInstance> {
+        Query::new(m).top_k(g, k).0
+    }
+
+    fn run(g: &TimeSeriesGraph, m: &Motif, sink: &mut impl InstanceSink) {
+        Query::new(m).run(g, sink, &mut SearchScratch::default());
+    }
 
     /// Builds a graph with several M(3,2) instances of distinct flows.
     fn chain_graph() -> TimeSeriesGraph {
@@ -235,7 +202,7 @@ mod tests {
     fn top_k_orders_by_flow() {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        let (r, _) = top_k(&g, &m, 2);
+        let r = top_k(&g, &m, 2);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].instance.flow, 9.0);
         assert_eq!(r[1].instance.flow, 5.0);
@@ -245,7 +212,7 @@ mod tests {
     fn top_k_larger_than_result_set() {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        let (r, _) = top_k(&g, &m, 10);
+        let r = top_k(&g, &m, 10);
         assert_eq!(r.len(), 3);
         let flows: Vec<_> = r.iter().map(|x| x.instance.flow).collect();
         assert_eq!(flows, vec![9.0, 5.0, 2.0]);
@@ -255,9 +222,10 @@ mod tests {
     fn kth_flow_matches_full_enumeration() {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        assert_eq!(kth_instance_flow(&g, &m, 1), Some(9.0));
-        assert_eq!(kth_instance_flow(&g, &m, 3), Some(2.0));
-        assert_eq!(kth_instance_flow(&g, &m, 4), None);
+        let kth = |k: usize| top_k(&g, &m, k).get(k - 1).map(|r| r.instance.flow);
+        assert_eq!(kth(1), Some(9.0));
+        assert_eq!(kth(3), Some(2.0));
+        assert_eq!(kth(4), None);
     }
 
     #[test]
@@ -265,13 +233,11 @@ mod tests {
         // top-k flows == first k flows of the sorted full enumeration.
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        let mut all = CollectSink::default();
-        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut all);
-        let mut flows: Vec<f64> =
-            all.groups.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).collect();
+        let (all, _) = Query::new(&m).collect(&g);
+        let mut flows: Vec<f64> = all.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).collect();
         flows.sort_by(|a, b| b.total_cmp(a));
         for k in 1..=flows.len() {
-            let (r, _) = top_k(&g, &m, k);
+            let r = top_k(&g, &m, k);
             let got: Vec<_> = r.iter().map(|x| x.instance.flow).collect();
             assert_eq!(got, flows[..k].to_vec(), "k={k}");
         }
@@ -281,7 +247,7 @@ mod tests {
     fn threshold_prunes_search() {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-        let (_, stats_k1) = top_k(&g, &m, 1);
+        let (_, stats_k1) = Query::new(&m).top_k(&g, 1);
         // With k=1 the threshold rises to 5 then 9, pruning later prefixes.
         assert!(stats_k1.prefixes_pruned_by_flow + stats_k1.instances_rejected_by_flow > 0);
     }
@@ -290,7 +256,7 @@ mod tests {
     fn phi_still_applies_as_floor() {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 6.0).unwrap();
-        let (r, _) = top_k(&g, &m, 10);
+        let r = top_k(&g, &m, 10);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].instance.flow, 9.0);
     }
@@ -307,10 +273,10 @@ mod tests {
         }
         let g = b.build_time_series_graph();
         let m = catalog::by_name("M(3,2)", 100, 0.0).unwrap();
-        let (all, _) = crate::enumerate::enumerate_all(&g, &m);
+        let (all, _) = Query::new(&m).collect(&g);
         assert_eq!(all.len(), 2, "two structural matches");
         assert_eq!(all[0].0.walk_nodes(&g), vec![0, 1, 2], "target 2 is found first");
-        let (r, _) = top_k(&g, &m, 1);
+        let r = top_k(&g, &m, 1);
         assert_eq!(r[0].structural_match.walk_nodes(&g), vec![0, 1, 3]);
         assert_eq!(r[0].instance.edge_sets[0], EdgeSet { pair: 0, start: 0, end: 1 });
     }
@@ -327,12 +293,12 @@ mod tests {
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
         let mut sink = TopKSink::new(usize::MAX);
         assert_eq!(sink.kth_flow(), f64::NEG_INFINITY);
-        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut sink);
+        run(&g, &m, &mut sink);
         let all = sink.into_sorted();
         let flows: Vec<f64> = all.iter().map(|r| r.instance.flow).collect();
         assert_eq!(flows, vec![9.0, 5.0, 2.0], "every instance, in rank order");
-        assert_eq!(top_k(&g, &m, usize::MAX).0, all);
-        assert_eq!(top_k(&g, &m, 3).0, all);
+        assert_eq!(top_k(&g, &m, usize::MAX), all);
+        assert_eq!(top_k(&g, &m, 3), all);
     }
 
     #[test]
@@ -340,11 +306,11 @@ mod tests {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
         let mut sink = TopKSink::new(2);
-        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut sink);
+        run(&g, &m, &mut sink);
         assert_eq!(sink.kth_flow(), 5.0);
         sink.reset();
         assert_eq!(sink.kth_flow(), f64::NEG_INFINITY, "reset empties the heap");
-        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut sink);
+        run(&g, &m, &mut sink);
         let flows: Vec<f64> = sink.into_sorted().iter().map(|r| r.instance.flow).collect();
         assert_eq!(flows, vec![9.0, 5.0]);
     }
@@ -355,7 +321,7 @@ mod tests {
         let g = chain_graph();
         let m = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
         let mut sink = TopKSink::new(1);
-        enumerate_with_sink(&g, &m, SearchOptions::default(), &mut sink);
+        run(&g, &m, &mut sink);
         assert_eq!(sink.kth_flow(), 9.0);
         // Offer a weaker instance directly: it must be ignored (no clone,
         // no eviction) because it cannot beat the k-th flow.

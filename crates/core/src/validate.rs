@@ -251,7 +251,9 @@ pub fn brute_force_instances(
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::enumerate::{enumerate_in_match, CollectSink, SearchOptions, SearchStats};
+    use crate::enumerate::{
+        enumerate_in_match, CollectSink, EnumerationScratch, SearchOptions, SearchStats,
+    };
     use flowmotif_graph::GraphBuilder;
 
     fn fig7() -> (TimeSeriesGraph, StructuralMatch) {
@@ -284,7 +286,8 @@ mod tests {
         check_structural_match(&g, &motif, &sm).unwrap();
         let mut sink = CollectSink::default();
         let mut stats = SearchStats::default();
-        enumerate_in_match(&g, &motif, &sm, SearchOptions::default(), &mut sink, &mut stats);
+        let (opts, scratch) = (SearchOptions::default(), &mut EnumerationScratch::default());
+        enumerate_in_match(&g, &motif, &sm, None, opts, &mut sink, &mut stats, scratch);
         let insts = &sink.groups[0].1;
         assert_eq!(insts.len(), 4);
         for inst in insts {
@@ -369,7 +372,8 @@ mod tests {
             let motif = catalog::by_name("M(3,3)", 10, phi).unwrap();
             let mut sink = CollectSink::default();
             let mut stats = SearchStats::default();
-            enumerate_in_match(&g, &motif, &sm, SearchOptions::default(), &mut sink, &mut stats);
+            let (opts, scratch) = (SearchOptions::default(), &mut EnumerationScratch::default());
+            enumerate_in_match(&g, &motif, &sm, None, opts, &mut sink, &mut stats, scratch);
             let mut algo: Vec<_> = sink
                 .groups
                 .pop()

@@ -7,7 +7,7 @@
 //! are rejected at open time rather than misread.
 
 use flowmotif_core::catalog::parse_motif;
-use flowmotif_core::enumerate::count_instances;
+use flowmotif_core::Query;
 use flowmotif_graph::io::{load_segment, load_time_series_graph};
 use flowmotif_graph::segment::segment_path;
 use flowmotif_graph::{
@@ -97,8 +97,8 @@ fn assert_equivalent(mem: &TimeSeriesGraph, seg: &SegmentStore, rng: &mut StdRng
     // different byte layout, nothing more.
     for spec in ["M(3,2)", "M(3,3)", "M(4,3)", "M(4,4)B"] {
         let motif = parse_motif(spec, 25, 10.0).unwrap();
-        let (mem_count, mem_stats) = count_instances(mem, &motif);
-        let (seg_count, seg_stats) = count_instances(seg, &motif);
+        let (mem_count, mem_stats) = Query::new(&motif).count(mem);
+        let (seg_count, seg_stats) = Query::new(&motif).count(seg);
         assert_eq!(mem_count, seg_count, "{spec} instance count diverges");
         assert_eq!(mem_stats, seg_stats, "{spec} search stats diverge");
     }

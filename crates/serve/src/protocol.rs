@@ -427,4 +427,86 @@ mod tests {
             ]
         );
     }
+
+    /// Seeded fuzz loop over mutated request lines: tokens dropped or
+    /// duplicated, characters replaced, numbers swapped for extremes,
+    /// windows inverted and `order=` values garbled. The parser must
+    /// never panic, and every spec it accepts must be searchable: finite
+    /// ϕ ≥ 0, δ ≥ 0 and a window with start ≤ end. Iterations default to
+    /// 20000; `FLOWMOTIF_PROTOCOL_FUZZ_ITERS` sets another budget.
+    #[test]
+    fn mutated_request_lines_never_panic_and_accepted_specs_are_valid() {
+        use flowmotif_util::{RngExt, SeedableRng, StdRng};
+        const VALID: [&str; 9] = [
+            "query M(3,2) 10 0.5",
+            "count 0-1-2-0 10 0 5 25",
+            "subscribe M(3,3) 10 7 0 30 order=fixed",
+            "count M(4,4)A 600 3 100 1100 order=cardinality",
+            "add 0 1 10 2.5",
+            "evict 42",
+            "unsubscribe 3",
+            "ping",
+            "stats",
+        ];
+        const EXTREMES: [&str; 14] = [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "-0",
+            "-0.0",
+            "1e309",
+            "-1",
+            "-9223372036854775808",
+            "9223372036854775807",
+            "18446744073709551616",
+            "0x10",
+            "",
+            "5e-324",
+        ];
+        const ORDERS: [&str; 5] =
+            ["order=", "order=FIXED", "order=cardinality=1", "order", "=fixed"];
+        const CHARS: [char; 10] = ['0', '9', '-', '.', 'e', 'M', '(', ' ', '\t', 'ϕ'];
+        let iters = std::env::var("FLOWMOTIF_PROTOCOL_FUZZ_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(20_000u64);
+        let mut rng = StdRng::seed_from_u64(0x9A75E);
+        for i in 0..iters {
+            let base = VALID[rng.random_range(0..VALID.len())];
+            let mut tokens: Vec<String> = base.split(' ').map(str::to_string).collect();
+            for _ in 0..rng.random_range(1..4u32) {
+                let at = rng.random_range(0..tokens.len());
+                match rng.random_range(0..6u32) {
+                    0 if tokens.len() > 1 => {
+                        tokens.remove(at);
+                    }
+                    1 => tokens.insert(at, tokens[at].clone()),
+                    2 => {
+                        let mut chars: Vec<char> = tokens[at].chars().collect();
+                        if !chars.is_empty() {
+                            let c = rng.random_range(0..chars.len());
+                            chars[c] = CHARS[rng.random_range(0..CHARS.len())];
+                        }
+                        tokens[at] = chars.into_iter().collect();
+                    }
+                    3 => tokens[at] = EXTREMES[rng.random_range(0..EXTREMES.len())].to_string(),
+                    4 => tokens.push(ORDERS[rng.random_range(0..ORDERS.len())].to_string()),
+                    _ if tokens.len() >= 6 => tokens.swap(4, 5), // to < from
+                    _ => {}
+                }
+            }
+            let line = tokens.join(" ");
+            let parsed = std::panic::catch_unwind(|| parse_request(&line));
+            let Ok(parsed) = parsed else { panic!("iteration {i}: `{line}` panicked") };
+            if let Ok(Request::Query(q) | Request::Count(q) | Request::Subscribe(q)) = parsed {
+                let (delta, phi) = (q.motif.delta(), q.motif.phi());
+                assert!(phi.is_finite() && phi >= 0.0, "iteration {i}: `{line}` ϕ {phi}");
+                assert!(delta >= 0, "iteration {i}: `{line}` δ {delta}");
+                if let Some(w) = q.window {
+                    assert!(w.start <= w.end, "iteration {i}: `{line}` window {w:?}");
+                }
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@ use crate::metrics::ServerMetrics;
 use crate::poll::Waker;
 use crate::protocol::{parse_request, ErrorCode, QuerySpec, Request};
 use crate::source::{EngineSnapshot, MotifEngine};
-use flowmotif_core::{AtomicTrace, SearchScratch, TraceSink, TraceStage};
+use flowmotif_core::{AtomicTrace, CollectSink, CountSink, SearchScratch, TraceSink, TraceStage};
 use flowmotif_graph::{Flow, GraphError, NodeId, Timestamp};
 use flowmotif_stream::{StandingEvent, StandingQueries};
 use std::collections::VecDeque;
@@ -841,28 +841,28 @@ fn run_query<E: MotifEngine>(
         t.reset();
         Instant::now()
     });
-    let sink: Option<&'static dyn TraceSink> = trace.map(|t| t as &'static dyn TraceSink);
+    let trace_sink: Option<&'static dyn TraceSink> = trace.map(|t| t as &'static dyn TraceSink);
 
     // The query runs on an immutable snapshot: no writer lock is held, and
     // concurrent appends/publishes cannot change what this query sees.
     let snapshot = shared.engine.snapshot();
     let epoch = snapshot.epoch();
-    let motif = &spec.motif;
     if !materialise {
-        let (count, stats) =
-            snapshot.count_with(motif, spec.window, &mut session.scratch, sink, spec.order);
+        let mut sink = CountSink::default();
+        let stats = snapshot.run(spec, trace_sink, &mut sink, &mut session.scratch);
         note_slow("count", spec, epoch, trace, started, shared);
         let reply =
-            format!("OK count={count} matches={} epoch={epoch}\n", stats.structural_matches);
+            format!("OK count={} matches={} epoch={epoch}\n", sink.count, stats.structural_matches);
         shared.cache.insert((epoch, cache_key(spec, false)), Arc::from(reply.as_str()));
         return (reply, false);
     }
-    let result = snapshot.query_with(motif, spec.window, &mut session.scratch, sink, spec.order);
+    let mut sink = CollectSink::default();
+    let stats = snapshot.run(spec, trace_sink, &mut sink, &mut session.scratch);
     note_slow("query", spec, epoch, trace, started, shared);
-    let total = result.num_instances();
+    let total = sink.num_instances();
     let mut reply = String::new();
     let mut shown = 0usize;
-    'outer: for (sm, instances) in &result.groups {
+    'outer: for (sm, instances) in &sink.groups {
         for inst in instances {
             if shown >= shared.config.show {
                 break 'outer;
@@ -878,7 +878,7 @@ fn run_query<E: MotifEngine>(
     }
     reply.push_str(&format!(
         "OK query instances={total} shown={shown} matches={} epoch={epoch}\n",
-        result.stats.structural_matches
+        stats.structural_matches
     ));
     shared.cache.insert((epoch, cache_key(spec, true)), Arc::from(reply.as_str()));
     (reply, false)

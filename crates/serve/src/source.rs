@@ -11,12 +11,14 @@
 //!   (epoch = memory-mapped sealed segment + in-RAM delta overlay),
 //!   behind `flowmotif serve <dir> --packed`.
 
+use crate::protocol::QuerySpec;
 use flowmotif_core::{
-    ExtensionOrder, Motif, MotifInstance, SearchScratch, SearchStats, StructuralMatch, TraceSink,
+    InstanceSink, Motif, MotifInstance, Query, SearchOptions, SearchScratch, SearchStats,
+    StructuralMatch, TraceSink,
 };
 use flowmotif_graph::{Flow, GraphError, GraphStore, NodeId, TimeWindow, Timestamp};
 use flowmotif_stream::{
-    EngineStats, EpochEngine, EpochSnapshot, PublishReport, QueryResult, Snapshot, SnapshotEngine,
+    EngineStats, EpochEngine, EpochSnapshot, PublishReport, Snapshot, SnapshotEngine,
     StandingEvent, StandingQueries,
 };
 use std::sync::Arc;
@@ -27,31 +29,19 @@ pub trait EngineSnapshot: Send + Sync {
     /// The publish sequence number of this view.
     fn epoch(&self) -> u64;
 
-    /// Two-phase motif search, restricted to `bounds` when given,
-    /// running out of the caller's search arena. `trace`, when set,
-    /// receives the per-stage breakdown of this one query (the server's
-    /// slow-query log); `None` keeps the search on the zero-overhead
-    /// untraced path. `order`, when set, overrides the engine's P1
-    /// extension order for this one query (the protocol's `order=`
-    /// option).
-    fn query_with(
+    /// Runs the search of `spec` — its motif, window and P1 order
+    /// override (the protocol's `order=` option) over the engine's
+    /// search options — streaming every instance to `sink`, out of the
+    /// caller's search arena. `trace`, when set, receives the per-stage
+    /// breakdown of this one query (the server's slow-query log); `None`
+    /// keeps the search on the zero-overhead untraced path.
+    fn run<S: InstanceSink>(
         &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
+        spec: &QuerySpec,
         trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult;
-
-    /// Counts maximal instances without materialising them.
-    fn count_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
+        sink: &mut S,
         scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats);
+    ) -> SearchStats;
 
     /// Renders one result for the wire: the `-`-joined walk nodes and
     /// the per-edge interaction sets (graph access stays behind the
@@ -142,44 +132,31 @@ pub trait MotifEngine: Send + Sync + 'static {
     ) -> usize;
 }
 
-fn describe_on<G: GraphStore>(
-    g: &G,
-    sm: &StructuralMatch,
-    inst: &MotifInstance,
-) -> (String, String) {
-    let nodes: Vec<String> = sm.walk_nodes(g).into_iter().map(|n| n.to_string()).collect();
-    (nodes.join("-"), inst.display(g))
-}
-
-impl EngineSnapshot for Arc<Snapshot> {
+/// Both engines hand out a [`Snapshot`]: of the heap graph, or of a
+/// sealed segment plus its delta ([`EpochSnapshot`]).
+impl<G: GraphStore + Send + Sync> EngineSnapshot for Arc<Snapshot<G>> {
     fn epoch(&self) -> u64 {
         Snapshot::epoch(self)
     }
 
-    fn query_with(
+    fn run<S: InstanceSink>(
         &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
+        spec: &QuerySpec,
         trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult {
-        Snapshot::query_ordered(self, motif, bounds, scratch, trace, order)
-    }
-
-    fn count_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
+        sink: &mut S,
         scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats) {
-        Snapshot::count_ordered(self, motif, bounds, scratch, trace, order)
+    ) -> SearchStats {
+        let opts = self.options();
+        let extension_order = spec.order.unwrap_or(opts.extension_order);
+        let opts = SearchOptions { trace, extension_order, ..opts };
+        let q = Query { bounds: spec.window, opts, ..Query::new(&spec.motif) };
+        q.run(self.graph(), sink, scratch)
     }
 
     fn describe(&self, sm: &StructuralMatch, inst: &MotifInstance) -> (String, String) {
-        describe_on(self.graph(), sm, inst)
+        let nodes: Vec<String> =
+            sm.walk_nodes(self.graph()).into_iter().map(|n| n.to_string()).collect();
+        (nodes.join("-"), inst.display(self.graph()))
     }
 }
 
@@ -256,38 +233,6 @@ impl MotifEngine for SnapshotEngine {
         out: &mut Vec<StandingEvent>,
     ) -> usize {
         SnapshotEngine::evict_standing(self, floor, subs, out)
-    }
-}
-
-impl EngineSnapshot for Arc<EpochSnapshot> {
-    fn epoch(&self) -> u64 {
-        EpochSnapshot::epoch(self)
-    }
-
-    fn query_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult {
-        EpochSnapshot::query_ordered(self, motif, bounds, scratch, trace, order)
-    }
-
-    fn count_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats) {
-        EpochSnapshot::count_ordered(self, motif, bounds, scratch, trace, order)
-    }
-
-    fn describe(&self, sm: &StructuralMatch, inst: &MotifInstance) -> (String, String) {
-        describe_on(self.graph(), sm, inst)
     }
 }
 

@@ -7,9 +7,9 @@
 //! and every `count`/`query` reply carries the epoch it was answered at.
 //! The writer records the epoch → prefix-length mapping as it publishes;
 //! at the end each concurrent result is re-derived offline with
-//! `GraphBuilder` + `count_instances_in_window` over that prefix.
+//! `GraphBuilder` + windowed `Query::count` over that prefix.
 
-use flowmotif_core::{catalog, count_instances_in_window, enumerate_all};
+use flowmotif_core::{catalog, Query};
 use flowmotif_graph::{GraphBuilder, TimeWindow};
 use flowmotif_serve::{Client, Server, ServerConfig};
 use flowmotif_stream::SnapshotEngine;
@@ -53,7 +53,7 @@ fn batch_count(edges: &[(u32, u32, i64, f64)]) -> u64 {
     let mut b = GraphBuilder::new();
     b.extend_interactions(edges.iter().copied());
     let g = b.build_time_series_graph();
-    count_instances_in_window(&g, &motif, TimeWindow::new(WINDOW.0, WINDOW.1)).0
+    Query { bounds: Some(TimeWindow::new(WINDOW.0, WINDOW.1)), ..Query::new(&motif) }.count(&g).0
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn concurrent_clients_match_batch_rebuild_during_live_ingestion() {
     let mut b = GraphBuilder::new();
     b.extend_interactions(edges.iter().copied());
     let g = b.build_time_series_graph();
-    let (groups, _) = enumerate_all(&g, &motif);
+    let (groups, _) = Query::new(&motif).collect(&g);
     let mut expected_lines: Vec<String> = Vec::new();
     for (sm, insts) in &groups {
         let nodes: Vec<String> = sm.walk_nodes(&g).into_iter().map(|n| n.to_string()).collect();

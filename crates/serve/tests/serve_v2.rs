@@ -5,13 +5,13 @@
 //! readiness-driven front-end introduces on top of the v1 protocol.
 
 use flowmotif_core::{
-    ExtensionOrder, Motif, MotifInstance, SearchScratch, SearchStats, StructuralMatch, TraceSink,
+    InstanceSink, Motif, MotifInstance, SearchScratch, SearchStats, StructuralMatch, TraceSink,
 };
 use flowmotif_graph::{Flow, GraphError, NodeId, TimeWindow, Timestamp};
+use flowmotif_serve::protocol::QuerySpec;
 use flowmotif_serve::{Client, EngineSnapshot, MotifEngine, Server, ServerConfig};
 use flowmotif_stream::{
-    EngineStats, PublishReport, QueryResult, Snapshot, SnapshotEngine, StandingEvent,
-    StandingQueries,
+    EngineStats, PublishReport, Snapshot, SnapshotEngine, StandingEvent, StandingQueries,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -267,28 +267,15 @@ impl EngineSnapshot for GatedSnapshot {
         self.inner.epoch()
     }
 
-    fn query_with(
+    fn run<S: InstanceSink>(
         &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
+        spec: &QuerySpec,
         trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult {
-        self.gate.block();
-        self.inner.query_with(motif, bounds, scratch, trace, order)
-    }
-
-    fn count_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
+        sink: &mut S,
         scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats) {
+    ) -> SearchStats {
         self.gate.block();
-        self.inner.count_with(motif, bounds, scratch, trace, order)
+        self.inner.run(spec, trace, sink, scratch)
     }
 
     fn describe(&self, sm: &StructuralMatch, inst: &MotifInstance) -> (String, String) {

@@ -3,7 +3,7 @@
 
 use crate::stats::{mean, population_std_dev, FiveNumberSummary};
 use flowmotif_core::enumerate::{
-    enumerate_in_match_reusing, CountSink, EnumerationScratch, SearchOptions, SearchStats,
+    enumerate_in_match, CountSink, EnumerationScratch, SearchOptions, SearchStats,
 };
 use flowmotif_core::{find_structural_matches, Motif, StructuralMatch};
 use flowmotif_datasets::permute_flows;
@@ -66,17 +66,9 @@ flowmotif_util::impl_to_json!(MotifSignificance {
 fn count_with_matches(g: &TimeSeriesGraph, motif: &Motif, matches: &[StructuralMatch]) -> u64 {
     let mut sink = CountSink::default();
     let mut stats = SearchStats::default();
-    let mut scratch = EnumerationScratch::default();
+    let (opts, scratch) = (SearchOptions::default(), &mut EnumerationScratch::default());
     for sm in matches {
-        enumerate_in_match_reusing(
-            g,
-            motif,
-            sm,
-            SearchOptions::default(),
-            &mut sink,
-            &mut stats,
-            &mut scratch,
-        );
+        enumerate_in_match(g, motif, sm, None, opts, &mut sink, &mut stats, scratch);
     }
     sink.count
 }

@@ -3,18 +3,22 @@
 
 use crate::incremental::IncrementalGraph;
 use crate::window::SlidingWindow;
-use flowmotif_core::{
-    enumerate_window_with_sink_scratch, enumerate_with_sink_scratch, CollectSink, CountSink, Motif,
-    MotifInstance, SearchOptions, SearchScratch, SearchStats, StructuralMatch,
-};
-use flowmotif_graph::{Flow, GraphError, NodeId, TimeSeriesGraph, TimeWindow, Timestamp};
+use flowmotif_core::SearchOptions;
+use flowmotif_graph::{Flow, GraphError, NodeId, TimeSeriesGraph, Timestamp};
 
 /// A long-lived motif-search session over a live interaction stream.
 ///
 /// The engine owns an [`IncrementalGraph`] and, optionally, a
-/// [`SlidingWindow`] retention policy. Queries borrow the resident graph:
-/// repeated searches over a quiescent stream touch no per-pair state at
-/// all, and after `k` new appends only the dirty pairs pay a merge.
+/// [`SlidingWindow`] retention policy. Queries run a
+/// [`flowmotif_core::Query`] with [`QueryEngine::options`] on the
+/// resident [`QueryEngine::graph`]: repeated searches over a quiescent
+/// stream touch no per-pair state at all, and after `k` new appends only
+/// the dirty pairs pay a merge. Instances match a batch `GraphBuilder`
+/// rebuild + search over the retained (and window-restricted)
+/// interactions exactly. Results index into the graph as of the search:
+/// interpret them (`walk_nodes`, `display`, `EdgeSet::events`) **before**
+/// further appends, evictions or compactions — any mutation that adds
+/// or removes a pair remaps `PairId`s.
 #[derive(Debug, Default, Clone)]
 pub struct QueryEngine {
     graph: IncrementalGraph,
@@ -25,32 +29,6 @@ pub struct QueryEngine {
     /// Search tuning applied to every query (notably the active-index
     /// A/B toggle).
     opts: SearchOptions,
-    /// The search arena reused across queries: after the first query on
-    /// a session, the whole P1→P2 pipeline runs without heap
-    /// allocations per match (see `flowmotif_core::SearchScratch`).
-    scratch: SearchScratch,
-}
-
-/// Outcome of one [`QueryEngine::query`] call.
-///
-/// Matches and instances index into the resident graph *as of this
-/// query*: interpret them (`walk_nodes`, `display`, `EdgeSet::events`)
-/// against [`QueryEngine::graph`] **before** further appends, evictions
-/// or compactions — any mutation that adds or removes a pair remaps
-/// `PairId`s and silently invalidates older results.
-#[derive(Debug, Clone)]
-pub struct QueryResult {
-    /// Maximal instances grouped per structural match, in discovery order.
-    pub groups: Vec<(StructuralMatch, Vec<MotifInstance>)>,
-    /// Search counters of this query.
-    pub stats: SearchStats,
-}
-
-impl QueryResult {
-    /// Total number of instances across all groups.
-    pub fn num_instances(&self) -> usize {
-        self.groups.iter().map(|(_, v)| v.len()).sum()
-    }
 }
 
 /// A point-in-time description of the engine state.
@@ -182,42 +160,8 @@ impl QueryEngine {
         Ok(n)
     }
 
-    /// Answers a two-phase motif search over the resident graph,
-    /// restricted to `bounds` when given (`None` searches everything
-    /// currently retained). Instances match a batch
-    /// `GraphBuilder` rebuild + search over the retained (and
-    /// window-restricted) interactions exactly. The result's indices are
-    /// only meaningful against the current graph — see [`QueryResult`]
-    /// for the invalidation contract.
-    pub fn query(&mut self, motif: &Motif, bounds: Option<TimeWindow>) -> QueryResult {
-        let opts = self.opts;
-        let scratch = &mut self.scratch;
-        let g = self.graph.graph();
-        let mut sink = CollectSink::default();
-        let stats = match bounds {
-            Some(w) => enumerate_window_with_sink_scratch(g, motif, w, opts, &mut sink, scratch),
-            None => enumerate_with_sink_scratch(g, motif, opts, &mut sink, scratch),
-        };
-        QueryResult { groups: sink.groups, stats }
-    }
-
-    /// Counts maximal instances without materialising them. Steady-state
-    /// counting over a quiescent stream is allocation-free: the search
-    /// arena is owned by the engine and reused across queries.
-    pub fn count(&mut self, motif: &Motif, bounds: Option<TimeWindow>) -> (u64, SearchStats) {
-        let opts = self.opts;
-        let scratch = &mut self.scratch;
-        let g = self.graph.graph();
-        let mut sink = CountSink::default();
-        let stats = match bounds {
-            Some(w) => enumerate_window_with_sink_scratch(g, motif, w, opts, &mut sink, scratch),
-            None => enumerate_with_sink_scratch(g, motif, opts, &mut sink, scratch),
-        };
-        (sink.count, stats)
-    }
-
-    /// Borrows the resident time-series graph (folding buffers in first),
-    /// e.g. to run top-k or analytics drivers directly.
+    /// Borrows the resident time-series graph (folding buffers in first)
+    /// for any [`flowmotif_core::Query`] answer or analytics driver.
     pub fn graph(&mut self) -> &TimeSeriesGraph {
         self.graph.graph()
     }
@@ -280,7 +224,13 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmotif_core::catalog;
+    use flowmotif_core::{catalog, Motif, Query};
+    use flowmotif_graph::TimeWindow;
+
+    fn count(engine: &mut QueryEngine, motif: &Motif, bounds: Option<TimeWindow>) -> u64 {
+        let opts = engine.options();
+        Query { bounds, opts, ..Query::new(motif) }.count(engine.graph()).0
+    }
 
     /// The paper's Fig. 2 bitcoin example, streamed in timestamp order.
     const FIG2: [(NodeId, NodeId, Timestamp, Flow); 10] = [
@@ -301,10 +251,10 @@ mod tests {
         let mut engine = QueryEngine::new();
         engine.ingest(FIG2).unwrap();
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-        let res = engine.query(&motif, None);
-        assert_eq!(res.num_instances(), 1);
         let g = engine.graph();
-        let (sm, insts) = &res.groups[0];
+        let (groups, _) = Query::new(&motif).collect(g);
+        assert_eq!(groups.iter().map(|(_, v)| v.len()).sum::<usize>(), 1);
+        let (sm, insts) = &groups[0];
         assert_eq!(sm.walk_nodes(g), vec![2, 0, 1, 2]);
         assert_eq!(
             insts[0].display(g),
@@ -317,14 +267,14 @@ mod tests {
         let mut engine = QueryEngine::new();
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
         engine.ingest(FIG2[..6].iter().copied()).unwrap();
-        assert_eq!(engine.count(&motif, None).0, 0, "cycle not closed yet");
+        assert_eq!(count(&mut engine, &motif, None), 0, "cycle not closed yet");
         engine.ingest(FIG2[6..].iter().copied()).unwrap();
-        assert_eq!(engine.count(&motif, None).0, 1);
+        assert_eq!(count(&mut engine, &motif, None), 1);
         // Repeated queries on the quiescent stream are stable.
-        assert_eq!(engine.count(&motif, None).0, 1);
+        assert_eq!(count(&mut engine, &motif, None), 1);
         // Window-restricted query excludes the instance's first element.
-        assert_eq!(engine.count(&motif, Some(TimeWindow::new(11, 23))).0, 0);
-        assert_eq!(engine.count(&motif, Some(TimeWindow::new(10, 18))).0, 1);
+        assert_eq!(count(&mut engine, &motif, Some(TimeWindow::new(11, 23))), 0);
+        assert_eq!(count(&mut engine, &motif, Some(TimeWindow::new(10, 18))), 1);
     }
 
     #[test]
@@ -342,7 +292,7 @@ mod tests {
         assert!(lo >= 13 && hi == 23);
         // The Fig. 4 instance needed t=10; it is gone now.
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-        assert_eq!(engine.count(&motif, None).0, 0);
+        assert_eq!(count(&mut engine, &motif, None), 0);
         let display = engine.stats().to_string();
         assert!(display.contains("watermark=23"), "{display}");
     }

@@ -28,13 +28,10 @@
 //! immutable by design. Bound retention by resealing from a filtered
 //! source instead.
 
-use crate::engine::{EngineStats, QueryResult};
-use crate::snapshot::PublishReport;
+use crate::engine::EngineStats;
+use crate::snapshot::{PublishReport, Snapshot};
 use crate::standing::{StandingEvent, StandingQueries};
-use flowmotif_core::{
-    enumerate_window_with_sink_scratch, enumerate_with_sink_scratch, CollectSink, CountSink,
-    ExtensionOrder, Motif, SearchOptions, SearchScratch, SearchStats, TraceSink,
-};
+use flowmotif_core::{Motif, SearchOptions};
 use flowmotif_graph::{
     Event, Flow, GraphError, GraphStore, NodeId, OverlayStore, SegmentStore, SegmentWriter,
     TimeSeriesGraph, TimeWindow, Timestamp,
@@ -45,137 +42,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// An immutable epoch view: the shared sealed segment plus the delta
-/// frozen at publish time, queryable exactly like a
-/// [`Snapshot`](crate::Snapshot).
-#[derive(Debug, Clone)]
-pub struct EpochSnapshot {
-    store: Arc<OverlayStore>,
-    epoch: u64,
-    stats: EngineStats,
-    opts: SearchOptions,
-}
-
-impl EpochSnapshot {
-    /// The publish sequence number (0 = the freshly opened base).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Engine statistics frozen at publish time.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// The composite segment+delta graph; all core search drivers run
-    /// on it directly.
-    pub fn graph(&self) -> &OverlayStore {
-        &self.store
-    }
-
-    /// Two-phase motif search over this epoch, restricted to `bounds`
-    /// when given. Takes `&self`: any number of threads may search one
-    /// epoch concurrently.
-    pub fn query(&self, motif: &Motif, bounds: Option<TimeWindow>) -> QueryResult {
-        self.query_with(motif, bounds, &mut SearchScratch::default())
-    }
-
-    /// [`EpochSnapshot::query`] running out of a caller-provided search
-    /// arena (see [`crate::Snapshot::query_with`]).
-    pub fn query_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-    ) -> QueryResult {
-        self.query_traced(motif, bounds, scratch, None)
-    }
-
-    /// [`EpochSnapshot::query_with`] with a per-query [`TraceSink`]
-    /// layered over the engine's search options (see
-    /// [`crate::Snapshot::query_traced`]).
-    pub fn query_traced(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-    ) -> QueryResult {
-        self.query_ordered(motif, bounds, scratch, trace, None)
-    }
-
-    /// [`EpochSnapshot::query_traced`] with a per-query P1
-    /// [`ExtensionOrder`] override (see [`crate::Snapshot::query_ordered`]).
-    pub fn query_ordered(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult {
-        let mut opts = self.opts.with_trace(trace);
-        if let Some(o) = order {
-            opts = opts.with_extension_order(o);
-        }
-        let g = &*self.store;
-        let mut sink = CollectSink::default();
-        let stats = match bounds {
-            Some(w) => enumerate_window_with_sink_scratch(g, motif, w, opts, &mut sink, scratch),
-            None => enumerate_with_sink_scratch(g, motif, opts, &mut sink, scratch),
-        };
-        QueryResult { groups: sink.groups, stats }
-    }
-
-    /// Counts maximal instances without materialising them.
-    pub fn count(&self, motif: &Motif, bounds: Option<TimeWindow>) -> (u64, SearchStats) {
-        self.count_with(motif, bounds, &mut SearchScratch::default())
-    }
-
-    /// [`EpochSnapshot::count`] running out of a caller-provided arena.
-    pub fn count_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-    ) -> (u64, SearchStats) {
-        self.count_traced(motif, bounds, scratch, None)
-    }
-
-    /// [`EpochSnapshot::count_with`] with a per-query [`TraceSink`] (see
-    /// [`crate::Snapshot::query_traced`]).
-    pub fn count_traced(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-    ) -> (u64, SearchStats) {
-        self.count_ordered(motif, bounds, scratch, trace, None)
-    }
-
-    /// [`EpochSnapshot::count_traced`] with a per-query P1
-    /// [`ExtensionOrder`] override (see [`crate::Snapshot::query_ordered`]).
-    pub fn count_ordered(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats) {
-        let mut opts = self.opts.with_trace(trace);
-        if let Some(o) = order {
-            opts = opts.with_extension_order(o);
-        }
-        let g = &*self.store;
-        let mut sink = CountSink::default();
-        let stats = match bounds {
-            Some(w) => enumerate_window_with_sink_scratch(g, motif, w, opts, &mut sink, scratch),
-            None => enumerate_with_sink_scratch(g, motif, opts, &mut sink, scratch),
-        };
-        (sink.count, stats)
-    }
-}
+/// frozen at publish time, queryable exactly like a heap [`Snapshot`].
+pub type EpochSnapshot = Snapshot<OverlayStore>;
 
 /// One pair's delta accumulator.
 #[derive(Debug)]
@@ -288,7 +156,7 @@ impl EpochEngine {
         };
         let snapshot = Arc::new(EpochSnapshot {
             stats: writer.stats(),
-            store: Arc::new(OverlayStore::new(base, TimeSeriesGraph::default())),
+            graph: Arc::new(OverlayStore::new(base, TimeSeriesGraph::default())),
             epoch: 0,
             opts,
         });
@@ -440,7 +308,7 @@ impl EpochEngine {
         w.dirty.clear();
         let delta = self.delta_graph(w);
         let snapshot = Arc::new(EpochSnapshot {
-            store: Arc::new(OverlayStore::new(Arc::clone(&w.base), delta)),
+            graph: Arc::new(OverlayStore::new(Arc::clone(&w.base), delta)),
             epoch: w.epoch,
             stats: w.stats(),
             opts: self.opts,
@@ -493,7 +361,7 @@ impl EpochEngine {
         w.epoch += 1;
         w.published_appended = w.appended;
         let snapshot = Arc::new(EpochSnapshot {
-            store: Arc::new(OverlayStore::new(Arc::clone(&w.base), TimeSeriesGraph::default())),
+            graph: Arc::new(OverlayStore::new(Arc::clone(&w.base), TimeSeriesGraph::default())),
             epoch: w.epoch,
             stats: w.stats(),
             opts: self.opts,
@@ -535,8 +403,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmotif_core::catalog;
+    use flowmotif_core::{catalog, Query, SearchStats};
     use flowmotif_graph::{segment::write_segment, GraphBuilder};
+
+    fn count(snap: &EpochSnapshot, motif: &Motif) -> (u64, SearchStats) {
+        Query { opts: snap.options(), ..Query::new(motif) }.count(snap.graph())
+    }
 
     const FIG2: [(NodeId, NodeId, Timestamp, Flow); 10] = [
         (3, 2, 1, 2.0),
@@ -578,7 +450,7 @@ mod tests {
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.count(&motif, None).0, 1);
+        assert_eq!(count(&snap, &motif).0, 1);
         assert_eq!(snap.stats().interactions, 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -590,7 +462,7 @@ mod tests {
         let dir = sealed("stream", &FIG2[..5]);
         let engine = EpochEngine::open(&dir).unwrap();
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-        assert_eq!(engine.snapshot().count(&motif, None).0, 0, "half the graph: no cycle yet");
+        assert_eq!(count(&engine.snapshot(), &motif).0, 0, "half the graph: no cycle yet");
 
         for (i, &(u, v, t, f)) in FIG2[5..].iter().enumerate() {
             engine.append(u, v, t, f).unwrap();
@@ -601,8 +473,8 @@ mod tests {
             let snap = engine.snapshot();
             assert_eq!(snap.epoch(), i as u64 + 1);
             assert_eq!(
-                snap.count(&motif, None),
-                flowmotif_core::count_instances(&want, &motif),
+                count(&snap, &motif),
+                Query::new(&motif).count(&want),
                 "after {} streamed edges",
                 i + 1
             );
@@ -644,13 +516,13 @@ mod tests {
         // the pre-reseal snapshot still works (its map pins the old
         // inode even though graph.seg was replaced).
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-        assert_eq!(after.count(&motif, None).0, 1);
-        assert_eq!(before.count(&motif, None).0, 1);
+        assert_eq!(count(&after, &motif).0, 1);
+        assert_eq!(count(&before, &motif).0, 1);
 
         // And the directory reopens cold to the merged graph.
         let reopened = EpochEngine::open(&dir).unwrap();
         assert_eq!(reopened.snapshot().stats().interactions, 10);
-        assert_eq!(reopened.snapshot().count(&motif, None).0, 1);
+        assert_eq!(count(&reopened.snapshot(), &motif).0, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -42,36 +42,49 @@
 //! amortizes the per-publish O(pairs) floor the same way the incremental
 //! graph amortizes tail merges.
 
-use crate::engine::{EngineStats, QueryResult};
+use crate::engine::EngineStats;
 use crate::standing::{StandingEvent, StandingQueries};
 use crate::window::SlidingWindow;
 use crate::QueryEngine;
 use flowmotif_core::{
-    enumerate_window_with_sink_scratch, enumerate_with_sink_scratch, CollectSink, CountSink,
-    ExtensionOrder, Motif, SearchOptions, SearchScratch, SearchStats, TraceSink,
+    CountSink, Motif, Query, SearchOptions, SearchScratch, SearchStats, TraceSink,
 };
-use flowmotif_graph::{Flow, GraphError, NodeId, TimeSeriesGraph, TimeWindow, Timestamp};
+use flowmotif_graph::{
+    Flow, GraphError, GraphStore, NodeId, TimeSeriesGraph, TimeWindow, Timestamp,
+};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// An immutable point-in-time view of the stream, cheap to share across
 /// threads and safe to query while ingestion continues.
 ///
-/// Snapshots are produced by [`SnapshotEngine::publish`] and handed out
-/// by [`SnapshotEngine::snapshot`]; each carries the *epoch* at which it
-/// was published, so results can be attributed to an exact stream
-/// prefix.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    graph: Arc<TimeSeriesGraph>,
-    epoch: u64,
-    stats: EngineStats,
-    opts: SearchOptions,
+/// Snapshots are produced by [`SnapshotEngine::publish`] (over the
+/// compacted heap graph) and [`crate::EpochEngine::publish`] (over a
+/// sealed segment plus its delta, as [`crate::EpochSnapshot`]); each
+/// carries the *epoch* at which it was published, so results can be
+/// attributed to an exact stream prefix. Search one by running a
+/// [`Query`] with [`Snapshot::options`] on [`Snapshot::graph`]: both
+/// take `&self`, so any number of threads may search one snapshot
+/// concurrently.
+#[derive(Debug)]
+pub struct Snapshot<G = TimeSeriesGraph> {
+    pub(crate) graph: Arc<G>,
+    pub(crate) epoch: u64,
+    pub(crate) stats: EngineStats,
+    pub(crate) opts: SearchOptions,
 }
 
-impl Snapshot {
-    /// The publish sequence number of this snapshot (0 = the empty
-    /// snapshot every engine starts with).
+// Not derived: a derive would demand `G: Clone`, and only the `Arc` is
+// cloned.
+impl<G> Clone for Snapshot<G> {
+    fn clone(&self) -> Self {
+        Self { graph: Arc::clone(&self.graph), ..*self }
+    }
+}
+
+impl<G: GraphStore> Snapshot<G> {
+    /// The publish sequence number of this snapshot (0 = the snapshot
+    /// every engine starts with).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -81,79 +94,25 @@ impl Snapshot {
         self.stats
     }
 
-    /// The immutable compacted graph; all core search drivers (top-k,
-    /// census, analytics, …) can run on it directly.
-    pub fn graph(&self) -> &TimeSeriesGraph {
+    /// The immutable graph; every [`Query`] answer runs on it directly.
+    pub fn graph(&self) -> &G {
         &self.graph
     }
 
-    /// Two-phase motif search over the snapshot, restricted to `bounds`
-    /// when given. Unlike [`QueryEngine::query`] this takes `&self`: any
-    /// number of threads may search one snapshot concurrently.
-    pub fn query(&self, motif: &Motif, bounds: Option<TimeWindow>) -> QueryResult {
-        self.query_with(motif, bounds, &mut SearchScratch::default())
+    /// The engine's search options, which every query of this snapshot
+    /// runs with.
+    pub fn options(&self) -> SearchOptions {
+        self.opts
     }
 
-    /// [`Snapshot::query`] running out of a caller-provided search
-    /// arena. Snapshots are immutable and queried by `&self`, so the
-    /// scratch cannot live here — each reader (e.g. a server session)
-    /// owns one and reuses it across queries and snapshot epochs,
-    /// keeping the steady-state query path free of per-match heap
-    /// allocations.
-    pub fn query_with(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-    ) -> QueryResult {
-        self.query_traced(motif, bounds, scratch, None)
-    }
-
-    /// [`Snapshot::query_with`] with a per-query [`TraceSink`] layered
-    /// over the engine's search options — the hook behind the serve
-    /// tier's slow-query logging and per-stage profiling.
-    pub fn query_traced(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-    ) -> QueryResult {
-        self.query_ordered(motif, bounds, scratch, trace, None)
-    }
-
-    /// [`Snapshot::query_traced`] with a per-query P1
-    /// [`ExtensionOrder`] override (`None` keeps the engine default) —
-    /// the hook behind the serve protocol's `order=` query option.
-    pub fn query_ordered(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> QueryResult {
-        let mut opts = self.opts.with_trace(trace);
-        if let Some(o) = order {
-            opts = opts.with_extension_order(o);
-        }
-        let mut sink = CollectSink::default();
-        let stats = match bounds {
-            Some(w) => {
-                enumerate_window_with_sink_scratch(&self.graph, motif, w, opts, &mut sink, scratch)
-            }
-            None => enumerate_with_sink_scratch(&self.graph, motif, opts, &mut sink, scratch),
-        };
-        QueryResult { groups: sink.groups, stats }
-    }
-
-    /// Counts maximal instances without materialising them.
+    /// Counts maximal instances. Kept, like [`Snapshot::count_with`] and
+    /// [`Snapshot::count_traced`], until the end-to-end benchmark stops
+    /// importing it (ROADMAP item 2).
     pub fn count(&self, motif: &Motif, bounds: Option<TimeWindow>) -> (u64, SearchStats) {
-        self.count_with(motif, bounds, &mut SearchScratch::default())
+        self.count_traced(motif, bounds, &mut SearchScratch::default(), None)
     }
 
-    /// [`Snapshot::count`] running out of a caller-provided search arena
-    /// (see [`Snapshot::query_with`]).
+    /// [`Snapshot::count`] out of a caller-provided search arena.
     pub fn count_with(
         &self,
         motif: &Motif,
@@ -163,8 +122,7 @@ impl Snapshot {
         self.count_traced(motif, bounds, scratch, None)
     }
 
-    /// [`Snapshot::count_with`] with a per-query [`TraceSink`] (see
-    /// [`Snapshot::query_traced`]).
+    /// [`Snapshot::count_with`] with a per-query [`TraceSink`].
     pub fn count_traced(
         &self,
         motif: &Motif,
@@ -172,30 +130,10 @@ impl Snapshot {
         scratch: &mut SearchScratch,
         trace: Option<&'static dyn TraceSink>,
     ) -> (u64, SearchStats) {
-        self.count_ordered(motif, bounds, scratch, trace, None)
-    }
-
-    /// [`Snapshot::count_traced`] with a per-query P1
-    /// [`ExtensionOrder`] override (see [`Snapshot::query_ordered`]).
-    pub fn count_ordered(
-        &self,
-        motif: &Motif,
-        bounds: Option<TimeWindow>,
-        scratch: &mut SearchScratch,
-        trace: Option<&'static dyn TraceSink>,
-        order: Option<ExtensionOrder>,
-    ) -> (u64, SearchStats) {
-        let mut opts = self.opts.with_trace(trace);
-        if let Some(o) = order {
-            opts = opts.with_extension_order(o);
-        }
+        let opts = SearchOptions { trace, ..self.opts };
         let mut sink = CountSink::default();
-        let stats = match bounds {
-            Some(w) => {
-                enumerate_window_with_sink_scratch(&self.graph, motif, w, opts, &mut sink, scratch)
-            }
-            None => enumerate_with_sink_scratch(&self.graph, motif, opts, &mut sink, scratch),
-        };
+        let stats =
+            Query { bounds, opts, ..Query::new(motif) }.run(self.graph(), &mut sink, scratch);
         (sink.count, stats)
     }
 }
@@ -235,7 +173,7 @@ struct WriterState {
 /// thread and any number of query threads.
 ///
 /// ```
-/// use flowmotif_core::catalog;
+/// use flowmotif_core::{catalog, Query};
 /// use flowmotif_stream::SnapshotEngine;
 /// use std::sync::Arc;
 ///
@@ -247,7 +185,7 @@ struct WriterState {
 /// // cannot affect its result.
 /// let snap = engine.snapshot();
 /// let motif = catalog::by_name("M(3,2)", 10, 0.0).unwrap();
-/// let reader = std::thread::spawn(move || snap.count(&motif, None).0);
+/// let reader = std::thread::spawn(move || Query::new(&motif).count(snap.graph()).0);
 /// engine.ingest([(2u32, 3u32, 14i64, 3.0)]).unwrap();
 /// assert_eq!(reader.join().unwrap(), 1);
 ///
@@ -692,9 +630,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowmotif_core::{catalog, enumerate_all, enumerate_all_in_window};
+    use flowmotif_core::catalog;
     use flowmotif_graph::GraphBuilder;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn count(snap: &Snapshot, motif: &Motif, bounds: Option<TimeWindow>) -> (u64, SearchStats) {
+        Query { bounds, opts: snap.options(), ..Query::new(motif) }.count(snap.graph())
+    }
 
     const FIG2: [(NodeId, NodeId, Timestamp, Flow); 10] = [
         (3, 2, 1, 2.0),
@@ -716,20 +658,20 @@ mod tests {
 
         let empty = engine.snapshot();
         assert_eq!(empty.epoch(), 0);
-        assert_eq!(empty.count(&motif, None).0, 0);
+        assert_eq!(count(&empty, &motif, None).0, 0);
 
         engine.ingest(FIG2).unwrap();
         // Not yet published: readers still see the empty graph.
         assert_eq!(engine.snapshot().epoch(), 0);
-        assert_eq!(engine.snapshot().count(&motif, None).0, 0);
+        assert_eq!(count(&engine.snapshot(), &motif, None).0, 0);
         assert_eq!(engine.stats().appended, 10, "writer side is live");
 
         let e = engine.publish();
         assert_eq!(e, 1);
         let snap = engine.snapshot();
-        assert_eq!(snap.count(&motif, None).0, 1);
+        assert_eq!(count(&snap, &motif, None).0, 1);
         // The old snapshot is untouched by the publish.
-        assert_eq!(empty.count(&motif, None).0, 0);
+        assert_eq!(count(&empty, &motif, None).0, 0);
         // Publishing with no new data is a no-op.
         assert_eq!(engine.publish(), 1);
         assert_eq!(engine.published_epoch(), 1);
@@ -748,13 +690,10 @@ mod tests {
 
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
         for bounds in [None, Some(TimeWindow::new(10, 18)), Some(TimeWindow::new(11, 23))] {
-            let got = snap.query(&motif, bounds);
-            let expect = match bounds {
-                Some(w) => enumerate_all_in_window(&batch, &motif, w).0,
-                None => enumerate_all(&batch, &motif).0,
-            };
-            assert_eq!(got.groups.len(), expect.len(), "{bounds:?}");
-            for ((gsm, gi), (esm, ei)) in got.groups.iter().zip(&expect) {
+            let (got, _) = Query { bounds, ..Query::new(&motif) }.collect(snap.graph());
+            let (expect, _) = Query { bounds, ..Query::new(&motif) }.collect(&batch);
+            assert_eq!(got.len(), expect.len(), "{bounds:?}");
+            for ((gsm, gi), (esm, ei)) in got.iter().zip(&expect) {
                 assert_eq!(gsm.walk_nodes(snap.graph()), esm.walk_nodes(&batch));
                 let gd: Vec<_> = gi.iter().map(|i| i.display(snap.graph())).collect();
                 let ed: Vec<_> = ei.iter().map(|i| i.display(&batch)).collect();
@@ -802,7 +741,7 @@ mod tests {
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.count(&motif, None).0, 1);
+        assert_eq!(count(&snap, &motif, None).0, 1);
         // No changes since construction: publish is a no-op.
         assert_eq!(engine.publish(), 0);
     }
@@ -992,19 +931,19 @@ mod tests {
 
     #[test]
     fn search_options_propagate_to_snapshots() {
-        let opts = SearchOptions::default().with_use_active_index(false);
+        let opts = SearchOptions { use_active_index: false, ..SearchOptions::default() };
         let engine = SnapshotEngine::new().search_options(opts);
         engine.ingest(FIG2).unwrap();
         engine.publish();
         let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
         // Identical answers with the index off (epoch 0 and the fresh one).
-        assert_eq!(engine.snapshot().count(&motif, Some(TimeWindow::new(0, 30))).0, 1);
+        assert_eq!(count(&engine.snapshot(), &motif, Some(TimeWindow::new(0, 30))).0, 1);
         let indexed = SnapshotEngine::new();
         indexed.ingest(FIG2).unwrap();
         indexed.publish();
         assert_eq!(
-            engine.snapshot().count(&motif, Some(TimeWindow::new(0, 30))),
-            indexed.snapshot().count(&motif, Some(TimeWindow::new(0, 30))),
+            count(&engine.snapshot(), &motif, Some(TimeWindow::new(0, 30))),
+            count(&indexed.snapshot(), &motif, Some(TimeWindow::new(0, 30))),
         );
     }
 

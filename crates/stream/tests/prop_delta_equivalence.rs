@@ -17,6 +17,18 @@ use flowmotif_stream::{
 use flowmotif_util::{RngExt, SeedableRng, StdRng};
 
 const CASES: u64 = 20;
+
+/// A flow where f64 sums round: a non-dyadic tenth, a log-uniform
+/// magnitude in `[1e-3, 1e6)`, or one of a few tie-making values (the
+/// draw of the root crate's `tests/common::random_flow`).
+fn random_flow(rng: &mut StdRng) -> Flow {
+    match rng.random_range(0..4u32) {
+        0 => 0.1 * rng.random_range(1u32..100) as Flow,
+        1 => 10f64.powf(rng.random_range(-3.0f64..6.0)),
+        2 => [0.3, 7.0, 12.5, 1e3][rng.random_range(0..4usize)],
+        _ => rng.random_range(1u32..10) as Flow,
+    }
+}
 const OPS: usize = 60;
 const NODES: u32 = 7;
 /// Longer walks subscribed beside M(3,2)/M(3,3), with δ wide enough that
@@ -47,8 +59,10 @@ fn delta_view_equals_full_requery_on_every_prefix() {
         }
         let engine = SnapshotEngine::with_engine(inner).publish_every(4);
 
-        let chain = catalog::by_name("M(3,2)", 12, 0.0).unwrap();
-        let cycle = catalog::by_name("M(3,3)", 15, 0.0).unwrap();
+        // Half the cases filter by an inexact ϕ.
+        let phi = if case % 2 == 1 { random_flow(&mut rng).min(5.0) } else { 0.0 };
+        let chain = catalog::by_name("M(3,2)", 12, phi).unwrap();
+        let cycle = catalog::by_name("M(3,3)", 15, phi).unwrap();
         let bounded = Some(TimeWindow::new(10, 70));
         let mut subs = StandingQueries::new();
         let a = engine.subscribe_standing(&mut subs, chain.clone(), None);
@@ -74,7 +88,7 @@ fn delta_view_equals_full_requery_on_every_prefix() {
                     let t = (time - rng.random_range(0..3i64)).max(0);
                     let from = rng.random_range(0..NODES);
                     let to = (from + rng.random_range(1..NODES)) % NODES;
-                    let flow = rng.random_range(1..6u32) as Flow;
+                    let flow = random_flow(&mut rng);
                     // A stale append (below an eviction floor) is refused
                     // without touching the graph — equivalence must hold
                     // either way.
@@ -182,7 +196,7 @@ fn epoch_appends_and_reseals_keep_the_delta_view_exact() {
                 time += rng.random_range(0..3i64);
                 let from = rng.random_range(0..NODES);
                 let to = (from + rng.random_range(1..NODES)) % NODES;
-                let flow = rng.random_range(1..6u32) as Flow;
+                let flow = random_flow(&mut rng);
                 let _ = engine.append_standing(from, to, time, flow, &mut subs, &mut events);
             }
             for (id, motif) in &specs {

@@ -45,7 +45,7 @@ fn main() {
     // The smurfed hop only clears ϕ because edge-sets AGGREGATE: no
     // single b -> c transfer reaches 50.
     let motif = catalog::by_name("M(3,3)", 120, 50.0).unwrap();
-    let (groups, stats) = enumerate_all(&g, &motif);
+    let (groups, stats) = Query::new(&motif).collect(&g);
     println!(
         "{motif}: {} instances out of {} structural matches",
         stats.instances_emitted, stats.structural_matches

@@ -25,7 +25,7 @@ fn main() {
     let motif = catalog::by_name("M(3,2)", delta, phi).unwrap();
 
     let t0 = Instant::now();
-    let (n_two_phase, _) = count_instances(&g, &motif);
+    let (n_two_phase, _) = Query::new(&motif).count(&g);
     let t_two_phase = t0.elapsed();
 
     let t0 = Instant::now();
@@ -46,7 +46,7 @@ fn main() {
     println!("\ncascade depth at δ = {delta}, ϕ = {phi}:");
     for name in ["M(3,2)", "M(4,3)", "M(5,4)"] {
         let m = catalog::by_name(name, delta, phi).unwrap();
-        let (n, _) = count_instances(&g, &m);
+        let (n, _) = Query::new(&m).count(&g);
         println!("  {:<6} ({} hops): {n}", name, m.num_edges());
     }
 
@@ -61,10 +61,10 @@ fn main() {
     // Parallel speed-up on the heaviest chain motif.
     let heavy = catalog::by_name("M(5,4)", delta, phi).unwrap();
     let t0 = Instant::now();
-    let (seq, _) = count_instances(&g, &heavy);
+    let (seq, _) = Query::new(&heavy).count(&g);
     let t_seq = t0.elapsed();
     let t0 = Instant::now();
-    let (par, _) = par_count_instances(&g, &heavy, 0);
+    let (par, _) = Query { par: Some(ParOptions::with_threads(0)), ..Query::new(&heavy) }.count(&g);
     let t_par = t0.elapsed();
     assert_eq!(seq, par);
     println!("\nM(5,4) on all cores: {t_seq:.1?} sequential vs {t_par:.1?} parallel");

@@ -41,7 +41,7 @@ fn main() {
     //    top-k, DP) works unchanged over the mapped backend.
     let seg = SegmentStore::open(&dir).unwrap();
     let motif = catalog::by_name("M(3,2)", 3600, 0.0).unwrap();
-    let (ranked, search) = top_k(&seg, &motif, 3);
+    let (ranked, search) = Query::new(&motif).top_k(&seg, 3);
     println!(
         "top-{} {} instances over the mapped graph ({} structural matches):",
         ranked.len(),

@@ -21,7 +21,7 @@ fn main() {
     println!("\nδ sweep for the 4-zone chain M(4,3), ϕ = {phi}:");
     for delta in Dataset::Passenger.delta_sweep() {
         let motif = catalog::by_name("M(4,3)", delta, phi).unwrap();
-        let (n, stats) = count_instances(&g, &motif);
+        let (n, stats) = Query::new(&motif).count(&g);
         println!("  δ={delta:>5}: {n:>6} chains ({} windows examined)", stats.windows_processed);
     }
 
@@ -30,14 +30,14 @@ fn main() {
     println!("\nchains vs cycles at δ = {delta}:");
     for name in ["M(3,2)", "M(3,3)", "M(4,3)", "M(4,4)A", "M(5,4)", "M(5,5)A"] {
         let motif = catalog::by_name(name, delta, phi).unwrap();
-        let (n, _) = count_instances(&g, &motif);
+        let (n, _) = Query::new(&motif).count(&g);
         let kind = if motif.path().has_cycle() { "cycle" } else { "chain" };
         println!("  {name:<8} ({kind}): {n}");
     }
 
     // The busiest corridor: the top-ranked 3-zone chain by passengers.
     let ranking = catalog::by_name("M(3,2)", delta, 0.0).unwrap();
-    let (top, _) = top_k(&g, &ranking, 3);
+    let (top, _) = Query::new(&ranking).top_k(&g, 3);
     println!("\nbusiest 3-zone corridors (passengers on the weakest leg):");
     for (i, r) in top.iter().enumerate() {
         println!(

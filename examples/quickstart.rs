@@ -32,7 +32,7 @@ fn main() {
     println!("searching {motif}");
 
     // 3. Enumerate all maximal instances (two-phase algorithm, §4).
-    let (groups, stats) = enumerate_all(&g, &motif);
+    let (groups, stats) = Query::new(&motif).collect(&g);
     println!(
         "phase P1 found {} structural matches; phase P2 emitted {} instances",
         stats.structural_matches, stats.instances_emitted
@@ -51,7 +51,7 @@ fn main() {
 
     // 4. Rank instead of filtering: top-k by flow with ϕ = 0 (§5).
     let ranking = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
-    let (ranked, _) = top_k(&g, &ranking, 3);
+    let (ranked, _) = Query::new(&ranking).top_k(&g, 3);
     println!("top-{} instances by flow:", ranked.len());
     for (i, r) in ranked.iter().enumerate() {
         println!("  #{}: flow {}", i + 1, r.instance.flow);
@@ -59,7 +59,7 @@ fn main() {
 
     // 5. Top-1 via the dynamic-programming module (§5.1) — same answer,
     //    less work per window.
-    let (best, _) = dp_top1(&g, &ranking);
+    let (best, _) = Query::new(&ranking).top1(&g, &mut SearchScratch::default());
     let (_, inst) = best.expect("the graph has instances");
     println!("DP top-1 flow: {}", inst.flow);
     assert_eq!(inst.flow, ranked[0].instance.flow);

@@ -49,17 +49,18 @@ fn main() {
         // Every 6 hours, scan the recent window for laundering rings.
         if hour % 6 == 5 {
             let wm = engine.stats().watermark.unwrap();
-            let res = engine.query(&ring, Some(TimeWindow::new(wm - 6 * HOUR, wm)));
+            let bounds = Some(TimeWindow::new(wm - 6 * HOUR, wm));
             let s = engine.stats();
+            let g = engine.graph();
+            let (rings, _) = Query { bounds, ..Query::new(&ring) }.collect(g);
             println!(
                 "{:4} | {:8} | {:7} | {}",
                 hour,
                 s.interactions,
                 s.evicted,
-                res.num_instances()
+                rings.iter().map(|(_, v)| v.len()).sum::<usize>()
             );
-            let g = engine.graph();
-            for (sm, insts) in &res.groups {
+            for (sm, insts) in &rings {
                 for inst in insts {
                     println!(
                         "       ring {:?} moved {:.0} within {}s",

@@ -44,7 +44,7 @@
 //!
 //! // Cyclic money movement: >= 25 units per hop within 100 time units.
 //! let motif = catalog::by_name("M(3,3)", 100, 25.0).unwrap();
-//! let (groups, _stats) = enumerate_all(&g, &motif);
+//! let (groups, _stats) = Query::new(&motif).collect(&g);
 //! let n: usize = groups.iter().map(|(_, v)| v.len()).sum();
 //! assert_eq!(n, 1);
 //! ```
@@ -66,13 +66,10 @@ pub mod prelude {
         analytics::{per_match_activity, per_match_top1, window_top1_series, MatchActivity},
         catalog,
         census::{all_walk_shapes, walk_census, CensusRow},
-        count_instances, count_instances_in_window, count_structural_matches,
-        dp::{dp_max_flow, dp_top1},
-        enumerate_all, enumerate_all_in_window, find_structural_matches,
-        parallel::{par_count_instances, par_enumerate_all, par_top_k, ParOptions},
-        topk::{kth_instance_flow, top_k},
-        EdgeSet, ExtensionOrder, Motif, MotifInstance, P1Driver, SearchOptions, SearchStats,
-        SpanningPath, StructuralMatch,
+        count_structural_matches, find_structural_matches,
+        topk::RankedInstance,
+        EdgeSet, ExtensionOrder, Motif, MotifInstance, P1Driver, ParOptions, Query, SearchOptions,
+        SearchScratch, SearchStats, SpanningPath, StructuralMatch,
     };
     pub use flowmotif_datasets::{
         permute_flows, time_prefix_samples, Dataset, FlowDistribution, GeneratorConfig,
@@ -87,7 +84,7 @@ pub mod prelude {
         assess_motif, assess_motifs, MotifSignificance, SignificanceConfig,
     };
     pub use flowmotif_stream::{
-        EngineStats, EpochEngine, EpochSnapshot, IncrementalGraph, QueryEngine, QueryResult,
-        SlidingWindow, Snapshot, SnapshotEngine,
+        EngineStats, EpochEngine, EpochSnapshot, IncrementalGraph, QueryEngine, SlidingWindow,
+        Snapshot, SnapshotEngine,
     };
 }

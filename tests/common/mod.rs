@@ -39,3 +39,14 @@ pub fn random_graph(rng: &mut StdRng, nodes: u32, max_edges: usize) -> TimeSerie
 pub fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> &'a T {
     &items[rng.random_range(0..items.len())]
 }
+
+/// A flow where f64 sums round: a non-dyadic tenth, a log-uniform
+/// magnitude in `[1e-3, 1e6)`, or one of a few tie-making values.
+pub fn random_flow(rng: &mut StdRng) -> Flow {
+    match rng.random_range(0..4u32) {
+        0 => 0.1 * rng.random_range(1u32..100) as Flow,
+        1 => 10f64.powf(rng.random_range(-3.0f64..6.0)),
+        2 => *pick(rng, &[0.3, 7.0, 12.5, 1e3]),
+        _ => rng.random_range(1u32..10) as Flow,
+    }
+}

@@ -15,7 +15,7 @@ fn all_datasets_generate_and_search_end_to_end() {
         let stats = GraphStats::of(&g);
         assert!(stats.num_interactions > 0, "{d}");
         let motif = catalog::by_name("M(3,2)", d.default_delta(), d.default_phi()).unwrap();
-        let (n, search) = count_instances(&g, &motif);
+        let (n, search) = Query::new(&motif).count(&g);
         assert!(search.structural_matches > 0, "{d}");
         // Two-phase and join agree on generated data too.
         let (joined, _) = join_enumerate(&g, &motif);
@@ -54,12 +54,12 @@ fn prefix_samples_nest_and_final_equals_full() {
     for s in &samples {
         // Instance counts grow (weakly) with the sample: more data can
         // only add activity.
-        let (n, _) = count_instances(&s.graph, &motif);
+        let (n, _) = Query::new(&motif).count(&s.graph);
         assert!(n >= prev_count, "{}: {n} < {prev_count}", s.label);
         prev_count = n;
     }
     let full: TimeSeriesGraph = (&mg).into();
-    let (n_full, _) = count_instances(&full, &motif);
+    let (n_full, _) = Query::new(&motif).count(&full);
     assert_eq!(prev_count, n_full, "final sample == full dataset");
 }
 
@@ -93,7 +93,7 @@ fn permutation_null_model_invariants() {
             "case {case}"
         );
         // with ϕ = 0 even the instance count is invariant
-        assert_eq!(count_instances(&a, &motif).0, count_instances(&b, &motif).0, "case {case}");
+        assert_eq!(Query::new(&motif).count(&a).0, Query::new(&motif).count(&b).0, "case {case}");
     }
 }
 
@@ -124,5 +124,5 @@ fn edge_list_io_round_trips_generated_data() {
     let motif = catalog::by_name("M(3,2)", 900, 2.0).unwrap();
     let a: TimeSeriesGraph = (&mg).into();
     let b: TimeSeriesGraph = (&loaded).into();
-    assert_eq!(count_instances(&a, &motif).0, count_instances(&b, &motif).0);
+    assert_eq!(Query::new(&motif).count(&a).0, Query::new(&motif).count(&b).0);
 }

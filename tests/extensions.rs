@@ -17,7 +17,7 @@ fn census_totals_are_consistent_with_direct_counts() {
     assert_eq!(rows.len(), 2); // 0-1-2 and 0-1-0
     for row in &rows {
         let motif = Motif::new(row.shape.clone(), 600, 5.0).unwrap();
-        let (direct, _) = count_instances(&g, &motif);
+        let (direct, _) = Query::new(&motif).count(&g);
         assert_eq!(direct, row.instances, "{}", row.shape);
         assert_eq!(count_structural_matches(&g, &row.shape), row.structural_matches);
     }
@@ -79,14 +79,15 @@ fn activity_analytics_cover_all_instances() {
     let m = catalog::by_name("M(3,2)", 600, 3.0).unwrap();
     let acts = per_match_activity(&g, &m);
     let total: u64 = acts.iter().map(|a| a.instances).sum();
-    assert_eq!(total, count_instances(&g, &m).0);
+    assert_eq!(total, Query::new(&m).count(&g).0);
     // Sorted by activity.
     for w in acts.windows(2) {
         assert!(w[0].instances >= w[1].instances);
     }
     // Per-match top-1 flows are bounded by the global top-1.
     let tops = per_match_top1(&g, &m);
-    let (global, _) = dp_max_flow(&g, &m);
+    let global =
+        Query::new(&m).top1(&g, &mut SearchScratch::default()).0.map_or(0.0, |(_, i)| i.flow);
     assert!(tops.iter().all(|(_, f)| *f <= global + 1e-9));
     assert_eq!(tops.first().map(|(_, f)| *f), Some(global));
 }

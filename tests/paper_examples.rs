@@ -44,7 +44,7 @@ fn fig1_chain_instances() {
     // instances are u4->u1->u2 (Fig. 1c) and u1->u2->u3 (Fig. 1d).
     let g = fig1_graph();
     let motif = catalog::by_name("M(3,2)", 5, 5.0).unwrap();
-    let (groups, _) = enumerate_all(&g, &motif);
+    let (groups, _) = Query::new(&motif).collect(&g);
     let gr = &g;
     let mut walks: Vec<Vec<u32>> =
         groups.iter().flat_map(|(sm, v)| v.iter().map(move |_| sm.walk_nodes(gr))).collect();
@@ -75,7 +75,7 @@ fn fig2_stats_shape() {
 fn fig4_maximal_instance_and_its_nonmaximal_subset() {
     let g = fig2_graph();
     let motif = catalog::by_name("M(3,3)", 10, 7.0).unwrap();
-    let (groups, stats) = enumerate_all(&g, &motif);
+    let (groups, stats) = Query::new(&motif).collect(&g);
     assert_eq!(stats.structural_matches, 6, "Fig. 6: six structural matches");
     let all: Vec<&MotifInstance> = groups.iter().flat_map(|(_, v)| v).collect();
     assert_eq!(all.len(), 1);
@@ -104,17 +104,18 @@ fn fig7_walkthrough_all_algorithms_agree() {
     // Table 2: top-1 flow in the match is 5 (δ=10, ϕ=0). All three
     // search variants agree.
     let motif = catalog::by_name("M(3,3)", 10, 0.0).unwrap();
-    let (ranked, _) = top_k(&g, &motif, 1);
+    let (ranked, _) = Query::new(&motif).top_k(&g, 1);
     assert_eq!(ranked[0].instance.flow, 5.0);
-    let (flow, _) = dp_max_flow(&g, &motif);
+    let flow =
+        Query::new(&motif).top1(&g, &mut SearchScratch::default()).0.map_or(0.0, |(_, i)| i.flow);
     assert_eq!(flow, 5.0);
-    let (groups, _) = enumerate_all(&g, &motif);
+    let (groups, _) = Query::new(&motif).collect(&g);
     let max = groups.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).fold(0.0f64, f64::max);
     assert_eq!(max, 5.0);
 
     // ϕ=5 leaves exactly the paper's surviving instance.
     let strict = catalog::by_name("M(3,3)", 10, 5.0).unwrap();
-    let (n, _) = count_instances(&g, &strict);
+    let (n, _) = Query::new(&strict).count(&g);
     assert_eq!(n, 1);
     // The join baseline sees the same world.
     let (joined, _) = join_enumerate(&g, &strict);
@@ -127,8 +128,9 @@ fn facade_prelude_is_complete_for_the_readme_flow() {
     // Everything the README quickstart needs is reachable via the prelude.
     let g = Dataset::Passenger.generate(0.05, 1);
     let motif = catalog::by_name("M(3,2)", 900, 2.0).unwrap();
-    let (n, _) = count_instances(&g, &motif);
-    let (n_par, _) = par_count_instances(&g, &motif, 2);
+    let (n, _) = Query::new(&motif).count(&g);
+    let (n_par, _) =
+        Query { par: Some(ParOptions::with_threads(2)), ..Query::new(&motif) }.count(&g);
     assert_eq!(n, n_par);
     let stats = GraphStats::of(&g);
     assert!(stats.num_nodes > 0);

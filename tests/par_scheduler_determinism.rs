@@ -8,10 +8,7 @@
 
 mod common;
 
-use flowmotif::core::parallel::{
-    par_count_and_sample_with, par_count_instances_in_window, par_enumerate_all_with,
-    par_enumerate_window, par_top_k_with, scheduler_makespan, ParOptions,
-};
+use flowmotif::core::parallel::scheduler_makespan;
 use flowmotif::prelude::*;
 use flowmotif_graph::{GraphBuilder, TimeSeriesGraph, TimeWindow};
 use flowmotif_util::rng::{RngExt, SeedableRng, StdRng};
@@ -70,12 +67,11 @@ fn unbounded_scan_is_identical_across_schedules() {
     let g = hub_heavy_graph(60, 120, 0xD5);
     for name in ["M(3,2)", "M(3,3)"] {
         let motif = catalog::by_name(name, 50, 2.0).unwrap();
-        let (seq_groups, seq_stats) = enumerate_all(&g, &motif);
+        let (seq_groups, seq_stats) = Query::new(&motif).collect(&g);
         let want = canonical(&seq_groups);
         for threads in [1usize, 2, 8] {
             for par in scheduler_grid(threads) {
-                let (groups, stats) =
-                    par_enumerate_all_with(&g, &motif, SearchOptions::default(), par);
+                let (groups, stats) = Query { par: Some(par), ..Query::new(&motif) }.collect(&g);
                 assert_eq!(canonical(&groups), want, "{name} {par:?}");
                 assert_eq!(stats, seq_stats, "{name} {par:?}");
             }
@@ -90,21 +86,20 @@ fn bounded_scan_is_identical_across_schedules_indexed_and_unindexed() {
     for (a, b) in [(0i64, 120i64), (100, 250), (390, 400)] {
         let w = TimeWindow::new(a, b);
         for use_index in [true, false] {
-            let opts = SearchOptions::default().with_use_active_index(use_index);
-            let mut seq_sink = flowmotif::core::CollectSink::default();
-            let seq_stats =
-                flowmotif::core::enumerate_window_with_sink(&g, &motif, w, opts, &mut seq_sink);
-            let want = canonical(&seq_sink.groups);
+            let opts = SearchOptions { use_active_index: use_index, ..SearchOptions::default() };
+            let seq = Query { bounds: Some(w), opts, ..Query::new(&motif) };
+            let (seq_groups, seq_stats) = seq.collect(&g);
+            let want = canonical(&seq_groups);
             for threads in [1usize, 2, 8] {
                 for par in scheduler_grid(threads) {
-                    let (groups, stats) = par_enumerate_window(&g, &motif, w, opts, par);
+                    let (groups, stats) = Query { par: Some(par), ..seq }.collect(&g);
                     assert_eq!(
                         canonical(&groups),
                         want,
                         "window [{a},{b}] index={use_index} {par:?}"
                     );
                     assert_eq!(stats, seq_stats, "window [{a},{b}] index={use_index} {par:?}");
-                    let (n, count_stats) = par_count_instances_in_window(&g, &motif, w, opts, par);
+                    let (n, count_stats) = Query { par: Some(par), ..seq }.count(&g);
                     assert_eq!(n as usize, want.len());
                     assert_eq!(count_stats, seq_stats);
                 }
@@ -121,16 +116,16 @@ fn bounded_scan_is_identical_across_schedules_indexed_and_unindexed() {
 fn top_k_flows_are_identical_across_schedules() {
     let g = hub_heavy_graph(60, 120, 0xD7);
     let motif = catalog::by_name("M(3,2)", 50, 0.0).unwrap();
-    let (all, _) = enumerate_all(&g, &motif);
+    let (all, _) = Query::new(&motif).collect(&g);
     let mut flows: Vec<f64> = all.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).collect();
     flows.sort_by(|a, b| b.total_cmp(a));
     let ties = [1usize, 5, 25].iter().filter(|&&k| flows.get(k) == flows.get(k - 1)).count();
     assert!(ties > 0, "no tie straddles any tested k; the test would prove nothing");
     for k in [1usize, 5, 25] {
-        let (want, _) = top_k(&g, &motif, k);
+        let (want, _) = Query::new(&motif).top_k(&g, k);
         for threads in [1usize, 2, 8] {
             for par in scheduler_grid(threads) {
-                let (ranked, _) = par_top_k_with(&g, &motif, k, SearchOptions::default(), par);
+                let (ranked, _) = Query { par: Some(par), ..Query::new(&motif) }.top_k(&g, k);
                 assert_eq!(ranked, want, "k={k} {par:?}");
             }
         }
@@ -144,7 +139,7 @@ fn top_k_flows_are_identical_across_schedules() {
 fn count_and_sample_are_identical_across_schedules() {
     let g = hub_heavy_graph(60, 120, 0xD9);
     let motif = catalog::by_name("M(3,2)", 50, 2.0).unwrap();
-    let (groups, seq_stats) = enumerate_all(&g, &motif);
+    let (groups, seq_stats) = Query::new(&motif).collect(&g);
     let scan_order: Vec<(StructuralMatch, MotifInstance)> =
         groups.iter().flat_map(|(sm, v)| v.iter().map(move |i| (sm.clone(), i.clone()))).collect();
     for show in [0usize, 1, 7, scan_order.len() + 3] {
@@ -152,7 +147,7 @@ fn count_and_sample_are_identical_across_schedules() {
         for threads in [1usize, 2, 8] {
             for par in scheduler_grid(threads) {
                 let (count, sample, stats) =
-                    par_count_and_sample_with(&g, &motif, show, SearchOptions::default(), par);
+                    Query { par: Some(par), ..Query::new(&motif) }.sample(&g, show);
                 assert_eq!(count as usize, scan_order.len(), "show={show} {par:?}");
                 assert_eq!(sample, want, "show={show} {par:?}");
                 assert_eq!(stats, seq_stats, "show={show} {par:?}");
@@ -197,14 +192,9 @@ fn random_background_graphs_agree_too() {
         let mut rng = common::case_rng(0x5C, case);
         let g = common::random_graph(&mut rng, 30, 150);
         let motif = catalog::by_name("M(3,2)", 60, 0.0).unwrap();
-        let (seq, _) = count_instances(&g, &motif);
+        let (seq, _) = Query::new(&motif).count(&g);
         for par in scheduler_grid(3) {
-            let (n, _) = flowmotif::core::parallel::par_count_instances_with(
-                &g,
-                &motif,
-                SearchOptions::default(),
-                par,
-            );
+            let (n, _) = Query { par: Some(par), ..Query::new(&motif) }.count(&g);
             assert_eq!(n, seq, "case {case} {par:?}");
         }
     }

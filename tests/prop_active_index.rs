@@ -47,7 +47,7 @@ fn random_edge(rng: &mut StdRng, nodes: u32) -> (NodeId, NodeId, Timestamp, Flow
 
 #[test]
 fn indexed_unindexed_and_batch_rebuild_agree() {
-    let unindexed_opts = SearchOptions::default().with_use_active_index(false);
+    let unindexed_opts = SearchOptions { use_active_index: false, ..SearchOptions::default() };
     for case in 0..CASES {
         let mut rng = case_rng(0x1D_EC5, case);
         let nodes = rng.random_range(4u32..10);
@@ -88,20 +88,18 @@ fn indexed_unindexed_and_batch_rebuild_agree() {
                 let b = rng.random_range(a..210);
                 Some(TimeWindow::new(a, b))
             };
-            let with_index = indexed.query(&motif, bounds);
-            let without = unindexed.query(&motif, bounds);
+            let search = Query { bounds, ..Query::new(&motif) };
+            let with_index = Query { opts: indexed.options(), ..search }.collect(indexed.graph());
+            let without = Query { opts: unindexed.options(), ..search }.collect(unindexed.graph());
             // (a) == (b), including emission order and search counters of
             // the instance phase (the structural-match streams coincide).
             assert_eq!(
-                canonical(indexed.graph(), &with_index.groups),
-                canonical(unindexed.graph(), &without.groups),
+                canonical(indexed.graph(), &with_index.0),
+                canonical(unindexed.graph(), &without.0),
                 "case {case} query {q}: indexed vs unindexed, {name} δ={delta} ϕ={phi} \
                  bounds={bounds:?}"
             );
-            assert_eq!(
-                with_index.stats, without.stats,
-                "case {case} query {q}: search counters diverged"
-            );
+            assert_eq!(with_index.1, without.1, "case {case} query {q}: search counters diverged");
             // (a) == (c): the batch-rebuild oracle over the surviving
             // in-window edges.
             let oracle_graph = match bounds {
@@ -114,9 +112,9 @@ fn indexed_unindexed_and_batch_rebuild_agree() {
                         .collect::<Vec<_>>(),
                 ),
             };
-            let (oracle, _) = enumerate_all(&oracle_graph, &motif);
+            let (oracle, _) = Query::new(&motif).collect(&oracle_graph);
             assert_eq!(
-                canonical(indexed.graph(), &with_index.groups),
+                canonical(indexed.graph(), &with_index.0),
                 canonical(&oracle_graph, &oracle),
                 "case {case} query {q}: indexed vs batch rebuild, {name} δ={delta} ϕ={phi} \
                  bounds={bounds:?}"

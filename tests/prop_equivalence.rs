@@ -41,7 +41,7 @@ fn two_phase_equals_join() {
         let delta = rng.random_range(1i64..50);
         let phi = rng.random_range(0u32..12) as f64;
         let motif = catalog::by_name(name, delta, phi).unwrap();
-        let (two_phase, _) = enumerate_all(&g, &motif);
+        let (two_phase, _) = Query::new(&motif).collect(&g);
         let (joined, _) = join_enumerate(&g, &motif);
         assert_eq!(
             normalize(flatten(two_phase)),
@@ -61,7 +61,7 @@ fn instances_are_valid_and_maximal() {
         let delta = rng.random_range(1i64..50);
         let phi = rng.random_range(0u32..12) as f64;
         let motif = catalog::by_name(name, delta, phi).unwrap();
-        let (groups, _) = enumerate_all(&g, &motif);
+        let (groups, _) = Query::new(&motif).collect(&g);
         for (sm, insts) in &groups {
             check_structural_match(&g, &motif, sm).unwrap_or_else(|e| panic!("case {case}: {e}"));
             for inst in insts {
@@ -86,7 +86,7 @@ fn two_phase_equals_brute_force() {
         let phi = rng.random_range(0u32..8) as f64;
         let motif = catalog::by_name(name, delta, phi).unwrap();
         let matches = find_structural_matches(&g, motif.path());
-        let (groups, _) = enumerate_all(&g, &motif);
+        let (groups, _) = Query::new(&motif).collect(&g);
         for sm in &matches {
             let mut algo: Vec<_> = groups
                 .iter()
@@ -107,7 +107,6 @@ fn two_phase_equals_brute_force() {
 /// The ablation toggles change work done but never the result set.
 #[test]
 fn search_options_do_not_change_results() {
-    use flowmotif::core::enumerate::{enumerate_with_sink, CollectSink};
     for case in 0..CASES {
         let mut rng = case_rng(0x04, case);
         let g = random_graph(&mut rng, 8, 40);
@@ -122,9 +121,8 @@ fn search_options_do_not_change_results() {
                     .skip_redundant_windows(skip)
                     .phi_prefix_pruning(prune)
                     .build();
-                let mut sink = CollectSink::default();
-                enumerate_with_sink(&g, &motif, opts, &mut sink);
-                let norm = normalize(flatten(sink.groups));
+                let (groups, _) = Query { opts, ..Query::new(&motif) }.collect(&g);
+                let norm = normalize(flatten(groups));
                 match &reference {
                     None => reference = Some(norm),
                     Some(r) => {
@@ -147,8 +145,9 @@ fn parallel_equals_sequential() {
         let phi = rng.random_range(0u32..10) as f64;
         let threads = rng.random_range(1usize..5);
         let motif = catalog::by_name(name, delta, phi).unwrap();
-        let (seq, _) = count_instances(&g, &motif);
-        let (par, _) = par_count_instances(&g, &motif, threads);
+        let (seq, _) = Query::new(&motif).count(&g);
+        let (par, _) =
+            Query { par: Some(ParOptions::with_threads(threads)), ..Query::new(&motif) }.count(&g);
         assert_eq!(seq, par, "case {case}: {name} threads={threads}");
     }
 }

@@ -1,7 +1,8 @@
 //! Randomized equivalence suite for the cutoff passes of the ranking
-//! searches (`flowmotif_core::cutoff`): `top_k`, `par_top_k` and
-//! `dp_top1` run the search under a phase-P1 pair-flow floor, and must
-//! return exactly what the search without a floor returns.
+//! searches (`flowmotif_core::cutoff`): `Query::top_k`, sequential and
+//! parallel, and `Query::top1` run the search under a phase-P1
+//! pair-flow floor, and must return exactly what the search without a
+//! floor returns.
 //!
 //! The graphs hold up to about 1,200 pairs, enough for the first cutoff
 //! (the `64·k`-th heaviest pair) to be finite for most `k`, and draw
@@ -14,28 +15,16 @@
 
 mod common;
 
-use common::{case_rng, pick};
-use flowmotif::core::dp::{dp_best_window_in_match, dp_top1_in_match, dp_top1_with};
+use common::{case_rng, pick, random_flow};
+use flowmotif::core::dp::{dp_best_window_in_match, dp_top1_in_match};
 use flowmotif::core::dp::{DpScratch, DpStats};
-use flowmotif::core::parallel::{par_top_k_with, ParOptions};
 use flowmotif::core::topk::rank_order;
-use flowmotif::core::{AtomicTrace, PassRecord, SearchScratch};
+use flowmotif::core::{AtomicTrace, PassRecord};
 use flowmotif::graph::io::read_edge_list;
 use flowmotif::prelude::*;
 use flowmotif_util::rng::{RngExt, StdRng};
 
 const CASES: u64 = 32;
-
-/// A flow where f64 sums round: a non-dyadic tenth, a log-uniform
-/// magnitude in `[1e-3, 1e6)`, or one of a few tie-making values.
-fn random_flow(rng: &mut StdRng) -> Flow {
-    match rng.random_range(0..4u32) {
-        0 => 0.1 * rng.random_range(1u32..100) as Flow,
-        1 => 10f64.powf(rng.random_range(-3.0f64..6.0)),
-        2 => *pick(rng, &[0.3, 7.0, 12.5, 1e3]),
-        _ => rng.random_range(1u32..10) as Flow,
-    }
-}
 
 /// The edge list of one case: several hundred random pairs carrying one
 /// to five interactions each, so pair totals exceed the flows of the
@@ -59,12 +48,12 @@ fn random_edge_list(rng: &mut StdRng) -> String {
 }
 
 /// The first `k` instances of the full enumeration in rank order.
-fn sorted_head<G: GraphStore>(
+fn sorted_head<G: GraphStore + Sync>(
     g: &G,
     motif: &Motif,
     k: usize,
 ) -> Vec<(StructuralMatch, MotifInstance)> {
-    let (groups, _) = enumerate_all(g, motif);
+    let (groups, _) = Query::new(motif).collect(g);
     let mut all: Vec<_> = groups
         .into_iter()
         .flat_map(|(sm, v)| v.into_iter().map(move |i| (sm.clone(), i)))
@@ -123,7 +112,7 @@ impl Exits {
 
 fn traced() -> (&'static AtomicTrace, SearchOptions) {
     let trace: &'static AtomicTrace = Box::leak(Box::new(AtomicTrace::new()));
-    (trace, SearchOptions::default().with_trace(Some(trace)))
+    (trace, SearchOptions { trace: Some(trace), ..SearchOptions::default() })
 }
 
 /// Checks one backend against the oracles; records the exits taken.
@@ -136,19 +125,20 @@ fn check<G: GraphStore + Sync>(
     top1_exits: &mut Exits,
 ) {
     let want = sorted_head(g, motif, k);
-    let (ranked, _) = top_k(g, motif, k);
+    let (ranked, _) = Query::new(motif).top_k(g, k);
     let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
     assert_eq!(got, want, "{label}: top_k");
     for threads in [1, 2] {
         let (trace, opts) = traced();
-        let (ranked, _) = par_top_k_with(g, motif, k, opts, ParOptions::with_threads(threads));
+        let par = Some(ParOptions::with_threads(threads));
+        let (ranked, _) = Query { opts, par, ..Query::new(motif) }.top_k(g, k);
         let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
         assert_eq!(got, want, "{label}: par_top_k at {threads} threads");
         topk_exits.record(&trace.passes(), k as u64, motif.phi());
     }
 
     let (trace, opts) = traced();
-    let (best, _) = dp_top1_with(g, motif, opts, &mut SearchScratch::default());
+    let (best, _) = Query { opts, ..Query::new(motif) }.top1(g, &mut SearchScratch::default());
     let reference = reference_top1(g, motif);
     match (&best, &reference) {
         (Some((sm, inst)), Some((rsm, rinst))) => {
@@ -213,12 +203,13 @@ fn a_tie_at_the_cutoff_survives_the_floor() {
     let want = sorted_head(&g, &motif, 1);
     assert_eq!(want[0].0.walk_nodes(&g), vec![0, 1, 2], "the tie through the cutoff pair wins");
     let (trace, opts) = traced();
-    let (ranked, _) = par_top_k_with(&g, &motif, 1, opts, ParOptions::with_threads(1));
+    let par = Some(ParOptions::with_threads(1));
+    let (ranked, _) = Query { opts, par, ..Query::new(&motif) }.top_k(&g, 1);
     let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
     assert_eq!(got, want);
     let passes = trace.passes();
     assert_eq!((passes.len(), passes[0].cutoff), (1, 7.0), "exact on the first pass: {passes:?}");
-    let (best, _) = dp_top1(&g, &motif);
+    let (best, _) = Query::new(&motif).top1(&g, &mut SearchScratch::default());
     assert_eq!(best, reference_top1(&g, &motif));
     assert_eq!(best.unwrap().0.walk_nodes(&g), vec![0, 1, 2]);
 }
@@ -236,10 +227,10 @@ fn cutoff_passes_bound_the_counted_work() {
     let g = Dataset::Facebook.generate(2.0, 1);
     let motif = catalog::by_name("M(3,2)", 600, 0.0).unwrap();
     assert_eq!(count_structural_matches(&g, motif.path()), 43_533);
-    let (ranked, stats) = top_k(&g, &motif, 10);
+    let (ranked, stats) = Query::new(&motif).top_k(&g, 10);
     let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
     assert_eq!(got, sorted_head(&g, &motif, 10));
-    let (best, dp_stats) = dp_top1(&g, &motif);
+    let (best, dp_stats) = Query::new(&motif).top1(&g, &mut SearchScratch::default());
     assert_eq!(best, reference_top1(&g, &motif));
     assert!(
         stats.structural_matches <= TOPK_MATCHES,

@@ -4,6 +4,10 @@
 //! exactly the instances a fresh batch [`GraphBuilder`] build of the same
 //! surviving edge set produces.
 //!
+//! Flows and ϕ are drawn where f64 sums round (see
+//! `common::random_flow`), so an instance's flow must not depend on the
+//! history of the series it is read from.
+//!
 //! The simulator tracks the surviving edges next to the engine: appends
 //! push, `evict_before(f)` retains `time >= f` — matching the engine's
 //! retention contract (late arrivals below a past floor survive until the
@@ -11,11 +15,16 @@
 
 mod common;
 
-use common::{case_rng, pick};
+use common::{case_rng, pick, random_flow};
 use flowmotif::prelude::*;
 use flowmotif_util::rng::{RngExt, StdRng};
 
 const CASES: u64 = 48;
+/// A case beyond `CASES` that always runs: M(4,3), δ 37, ϕ 0.3 over
+/// `[47, 116]`, where the last edge set's flow, taken as a prefix-sum
+/// difference of the resident series, rounded below a direct sum of the
+/// same elements and dropped an instance of flow exactly ϕ.
+const ROUNDING_CASE: u64 = 4227;
 const CATALOG: [&str; 4] = ["M(3,2)", "M(3,3)", "M(4,3)", "M(4,4)B"];
 
 /// Canonical rendering that is independent of pair ids and node-count
@@ -46,7 +55,7 @@ fn random_edge(rng: &mut StdRng, nodes: u32) -> (NodeId, NodeId, Timestamp, Flow
     while v == u {
         v = rng.random_range(0..nodes);
     }
-    (u, v, rng.random_range(0i64..120), rng.random_range(1u32..10) as f64)
+    (u, v, rng.random_range(0i64..120), random_flow(rng))
 }
 
 /// One random session: interleaved appends / evictions / compactions /
@@ -54,7 +63,7 @@ fn random_edge(rng: &mut StdRng, nodes: u32) -> (NodeId, NodeId, Timestamp, Flow
 /// each checked against a batch rebuild of the surviving edges.
 #[test]
 fn interleaved_appends_and_evictions_match_batch_rebuild() {
-    for case in 0..CASES {
+    for case in (0..CASES).chain([ROUNDING_CASE]) {
         let mut rng = case_rng(0x57_EA, case);
         let nodes = rng.random_range(4u32..9);
         let ops = rng.random_range(10usize..60);
@@ -89,7 +98,7 @@ fn interleaved_appends_and_evictions_match_batch_rebuild() {
         for q in 0..4 {
             let name = pick(&mut rng, &CATALOG);
             let delta = rng.random_range(1i64..50);
-            let phi = rng.random_range(0u32..12) as f64;
+            let phi = random_flow(&mut rng);
             let motif = catalog::by_name(name, delta, phi).unwrap();
             let bounds = if q == 0 {
                 None
@@ -98,7 +107,7 @@ fn interleaved_appends_and_evictions_match_batch_rebuild() {
                 let b = rng.random_range(a..130);
                 Some(TimeWindow::new(a, b))
             };
-            let res = engine.query(&motif, bounds);
+            let (res, _) = Query { bounds, ..Query::new(&motif) }.collect(engine.graph());
             let expected_graph = match bounds {
                 None => reference.clone(),
                 Some(w) => batch_build(
@@ -109,9 +118,9 @@ fn interleaved_appends_and_evictions_match_batch_rebuild() {
                         .collect::<Vec<_>>(),
                 ),
             };
-            let (expected, _) = enumerate_all(&expected_graph, &motif);
+            let (expected, _) = Query::new(&motif).collect(&expected_graph);
             assert_eq!(
-                canonical(engine.graph(), &res.groups),
+                canonical(engine.graph(), &res),
                 canonical(&expected_graph, &expected),
                 "case {case} query {q}: {name} δ={delta} ϕ={phi} bounds={bounds:?}"
             );
@@ -141,11 +150,11 @@ fn sliding_window_policy_matches_manual_eviction() {
             }
         }
         let motif = catalog::by_name("M(3,2)", 30, 0.0).unwrap();
-        let a = engine.query(&motif, None);
-        let b = manual.query(&motif, None);
+        let (a, _) = Query::new(&motif).collect(engine.graph());
+        let (b, _) = Query::new(&motif).collect(manual.graph());
         assert_eq!(
-            canonical(engine.graph(), &a.groups),
-            canonical(manual.graph(), &b.groups),
+            canonical(engine.graph(), &a),
+            canonical(manual.graph(), &b),
             "case {case} horizon={horizon} slack={slack}"
         );
         assert_eq!(engine.stats().interactions, manual.stats().interactions);

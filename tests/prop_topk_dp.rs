@@ -14,7 +14,7 @@ use flowmotif_util::rng::RngExt;
 const CASES: u64 = 64;
 
 fn sorted_flows_desc(g: &TimeSeriesGraph, motif: &Motif) -> Vec<f64> {
-    let (groups, _) = enumerate_all(g, motif);
+    let (groups, _) = Query::new(motif).collect(g);
     let mut flows: Vec<f64> = groups.iter().flat_map(|(_, v)| v.iter().map(|i| i.flow)).collect();
     flows.sort_by(|a, b| b.total_cmp(a));
     flows
@@ -34,13 +34,13 @@ fn top_k_is_head_of_sorted_enumeration() {
         let delta = rng.random_range(1i64..50);
         let k = rng.random_range(1usize..12);
         let motif = catalog::by_name(name, delta, 0.0).unwrap();
-        let (groups, _) = enumerate_all(&g, &motif);
+        let (groups, _) = Query::new(&motif).collect(&g);
         let mut all: Vec<(StructuralMatch, MotifInstance)> = groups
             .into_iter()
             .flat_map(|(sm, v)| v.into_iter().map(move |i| (sm.clone(), i)))
             .collect();
         all.sort_by(|a, b| rank_order(&a.1, &b.1));
-        let (ranked, _) = top_k(&g, &motif, k);
+        let (ranked, _) = Query::new(&motif).top_k(&g, k);
         let got: Vec<_> = ranked.into_iter().map(|r| (r.structural_match, r.instance)).collect();
         let want: Vec<_> = all.into_iter().take(k).collect();
         assert_eq!(got, want, "case {case}: {name} δ={delta} k={k}");
@@ -60,7 +60,7 @@ fn dp_equals_enumeration_max() {
         let motif = catalog::by_name(name, delta, 0.0).unwrap();
         let all = sorted_flows_desc(&g, &motif);
         let want = all.first().copied().unwrap_or(0.0);
-        let (best, _) = dp_top1(&g, &motif);
+        let (best, _) = Query::new(&motif).top1(&g, &mut SearchScratch::default());
         match best {
             None => assert!(all.is_empty(), "case {case}: DP found nothing, enumeration did"),
             Some((sm, inst)) => {
@@ -87,7 +87,7 @@ fn kth_flow_is_monotone() {
         let all = sorted_flows_desc(&g, &motif);
         let mut prev = f64::INFINITY;
         for k in 1..=(all.len() + 2) {
-            match kth_instance_flow(&g, &motif, k) {
+            match Query::new(&motif).top_k(&g, k).0.get(k - 1).map(|r| r.instance.flow) {
                 Some(f) => {
                     assert!(k <= all.len(), "case {case}: k={k} beyond {}", all.len());
                     assert!(f <= prev, "case {case}: k={k} flow {f} > {prev}");
@@ -110,7 +110,7 @@ fn phi_monotonicity() {
         let mut prev = u64::MAX;
         for phi in [0.0, 2.0, 5.0, 9.0, 20.0] {
             let motif = catalog::by_name(name, delta, phi).unwrap();
-            let (n, _) = count_instances(&g, &motif);
+            let (n, _) = Query::new(&motif).count(&g);
             assert!(n <= prev, "case {case}: phi={phi}: {n} > {prev}");
             prev = n;
         }
@@ -128,7 +128,10 @@ fn top1_flow_monotone_in_delta() {
         let mut prev = 0.0f64;
         for delta in [2i64, 5, 10, 25, 60] {
             let motif = catalog::by_name(name, delta, 0.0).unwrap();
-            let (flow, _) = dp_max_flow(&g, &motif);
+            let flow = Query::new(&motif)
+                .top1(&g, &mut SearchScratch::default())
+                .0
+                .map_or(0.0, |(_, i)| i.flow);
             assert!(flow + 1e-9 >= prev, "case {case}: delta={delta}: {flow} < {prev}");
             prev = flow;
         }

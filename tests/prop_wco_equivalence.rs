@@ -13,7 +13,7 @@
 mod common;
 
 use common::{case_rng, pick, random_graph};
-use flowmotif::core::enumerate::{enumerate_window_with_sink, CollectSink};
+use flowmotif::core::enumerate::CollectSink;
 use flowmotif::core::gallop::{gallop_intersect_into, gallop_seek, merge_intersect_into};
 use flowmotif::prelude::*;
 use flowmotif_util::rng::{RngExt, StdRng};
@@ -137,9 +137,13 @@ fn extension_orders_agree_on_instances_and_stats() {
             TimeWindow::new(i64::MIN, i64::MAX)
         };
         let run = |order| {
-            let opts = SearchOptions::default().with_extension_order(order);
+            let opts = SearchOptions { extension_order: order, ..SearchOptions::default() };
             let mut sink = CollectSink::default();
-            let stats = enumerate_window_with_sink(&g, &motif, w, opts, &mut sink);
+            let stats = Query { bounds: Some(w), opts, ..Query::new(&motif) }.run(
+                &g,
+                &mut sink,
+                &mut SearchScratch::default(),
+            );
             (sink.groups, stats)
         };
         let (fixed_groups, fixed_stats) = run(ExtensionOrder::Fixed);
