@@ -97,10 +97,19 @@ impl<'a> Query<'a> {
         &self,
         g: &G,
     ) -> (Vec<(StructuralMatch, Vec<MotifInstance>)>, SearchStats) {
-        let (sinks, stats) = self.scan_into(g, Flow::NEG_INFINITY, CollectSink::default);
-        let mut sinks = sinks.into_iter().map(|s| s.groups);
-        let mut groups = sinks.next().unwrap_or_default();
-        groups.extend(sinks.flatten());
+        let (mut sinks, stats) = self.scan_into(g, Flow::NEG_INFINITY, CollectSink::default);
+        if sinks.len() == 1 {
+            return (sinks.pop().expect("one sink").groups, stats);
+        }
+        // The workers' lists merge into one exact-size list allocated
+        // here, on the caller's thread. Growing worker 0's list instead
+        // reallocates it inside that worker's malloc arena, and how much
+        // of the arena stays resident once the result is dropped then
+        // varies from run to run with the schedule.
+        let mut groups = Vec::with_capacity(sinks.iter().map(|s| s.groups.len()).sum());
+        for s in sinks {
+            groups.extend(s.groups);
+        }
         (groups, stats)
     }
 
