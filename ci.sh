@@ -3,7 +3,8 @@
 #
 #   ./ci.sh         full gate: build, test, all-targets, e2ebench,
 #                   bench-regression, wco, soak, out-of-core, metrics,
-#                   protocol-fuzz, subscribe, docs, fmt, clippy
+#                   protocol-fuzz, segment-fuzz, subscribe, docs, fmt,
+#                   clippy
 #   ./ci.sh quick   build + tests only (the tier-1 inner loop)
 #
 # Everything runs with no network and no registry. The bench-regression
@@ -224,17 +225,16 @@ stage_protocol_fuzz() {
     --lib mutated_request_lines_never_panic_and_accepted_specs_are_valid
 }
 
-stage_subscribe() {
-  # End-to-end standing-query path: serve on a private port, register a
-  # standing subscription over the wire, stream appends from a second
-  # client session, and require the pushed EVENT lines to agree with a
-  # batch re-query of the same motif over the final graph.
+subscribe_against() {
+  # One run of the subscribe stage against `flowmotif serve [args]`
+  # on port $2, writing its logs under $1 (a <dir> argument must come
+  # first in [args]).
   _fm="target/release/flowmotif"
-  _dir="target/subscribe_ci"
-  _port=$(( 21000 + ($$ % 20000) ))
-  rm -rf "${_dir}"
+  _dir="$1"
+  _port="$2"
+  shift 2
   mkdir -p "${_dir}"
-  "${_fm}" serve --port "${_port}" >"${_dir}/serve.log" 2>&1 &
+  "${_fm}" serve "$@" --port "${_port}" >"${_dir}/serve.log" 2>&1 &
   _pid=$!
   _i=0
   until printf 'ping\nquit\n' | "${_fm}" client --port "${_port}" >/dev/null 2>&1; do
@@ -285,6 +285,30 @@ stage_subscribe() {
   cmp "${_dir}/pushed.txt" "${_dir}/batch.txt"
 }
 
+stage_subscribe() {
+  # End-to-end standing-query path: serve on a private port, register a
+  # standing subscription over the wire, stream appends from a second
+  # client session, and require the pushed EVENT lines to agree with a
+  # batch re-query of the same motif over the final graph. Run against
+  # the in-memory engine, then against a packed segment whose one pair
+  # (0, 1) the first append touches, so the sealed base seeds its delta.
+  # (`subscribe_against` sets `_dir` and `_port`: sh has no locals.)
+  _root="target/subscribe_ci"
+  _base_port=$(( 21000 + ($$ % 20000) ))
+  rm -rf "${_root}"
+  subscribe_against "${_root}/heap" "${_base_port}"
+  printf '0 1 100 7\n' >"${_root}/base.txt"
+  target/release/flowmotif pack "${_root}/base.txt" --out "${_root}/seg" >/dev/null
+  subscribe_against "${_root}/packed" $((_base_port + 1)) "${_root}/seg" --packed
+}
+
+stage_segment_fuzz() {
+  # The segment reader's seeded mutation loop with a larger budget than
+  # the test stage gives it: no corrupt file may panic `open`.
+  FLOWMOTIF_SEGMENT_FUZZ_ITERS=100000 cargo test -q --release --offline -p flowmotif-graph \
+    --lib mutated_segment_files_open_or_fail_without_panicking
+}
+
 stage_docs() {
   # rustdoc must build warning-free and every doctest must pass, so the
   # documented examples cannot drift from the API.
@@ -318,6 +342,7 @@ stage soak stage_soak
 stage out-of-core stage_out_of_core
 stage metrics stage_metrics
 stage protocol-fuzz stage_protocol_fuzz
+stage segment-fuzz stage_segment_fuzz
 stage subscribe stage_subscribe
 stage docs stage_docs
 stage fmt stage_fmt

@@ -76,7 +76,6 @@ impl OverlayStore {
         let b = base.num_pairs() as PairId;
         let mut overridden = FxHashMap::default();
         let mut new_pairs = Vec::new();
-        let mut touched_origins: Vec<NodeId> = Vec::new();
         let mut delta_only_events = 0usize;
         for dp in 0..delta.num_pairs() as PairId {
             let (u, v) = GraphStore::pair(&delta, dp);
@@ -93,64 +92,39 @@ impl OverlayStore {
                 None => {
                     delta_only_events += GraphStore::series(&delta, dp).len();
                     new_pairs.push(dp);
-                    touched_origins.push(u);
                 }
             }
         }
-        touched_origins.sort_unstable();
-        touched_origins.dedup();
-        let base_degree =
-            |u: NodeId| if (u as usize) < base.num_nodes() { base.out_degree(u) } else { 0 };
+        // `(u, v, composite id)` of every new pair, in `(u, v)` order.
+        let fresh: Vec<(NodeId, NodeId, PairId)> = new_pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &dp)| {
+                let (u, v) = GraphStore::pair(&delta, dp);
+                (u, v, b + i as PairId)
+            })
+            .collect();
+        // Only origins that gained a new pair need a merged out-list
+        // (overridden pairs keep their base topology), so this is
+        // O(delta), never O(base): one pass over the new pairs, each
+        // origin's run merged with its base list by target.
         let mut merged_out = FxHashMap::default();
-        for &u in &touched_origins {
-            let mut pairs: Vec<PairId> =
-                (0..base_degree(u)).map(|i| base.out_pair_at(u, i)).collect();
-            for (i, &dp) in new_pairs.iter().enumerate() {
-                if GraphStore::pair(&delta, dp).0 == u {
-                    pairs.push(b + i as PairId);
-                }
-            }
-            // Composite ids do not follow target order across the two
-            // ranges; restore the sorted-by-target contract.
-            let (bs, ds) = (&base, &delta);
-            pairs.sort_unstable_by_key(|&p| {
-                if p < b {
-                    bs.pair(p).1
-                } else {
-                    GraphStore::pair(ds, new_pairs[(p - b) as usize]).1
-                }
-            });
-            merged_out.insert(u, pairs);
+        for run in fresh.chunk_by(|x, y| x.0 == y.0) {
+            let u = run[0].0;
+            let degree = if (u as usize) < base.num_nodes() { base.out_degree(u) } else { 0 };
+            let base_list = (0..degree).map(|i| (base.out_target_at(u, i), base.out_pair_at(u, i)));
+            merged_out.insert(u, merge_by_key(base_list, run.iter().map(|&(_, v, p)| (v, p))));
         }
-        // Same construction for the transposed view: only targets that
-        // gained a new pair need a merged in-list (overridden pairs keep
-        // their base topology), so this too is O(delta), never O(base).
-        let mut touched_targets: Vec<NodeId> =
-            new_pairs.iter().map(|&dp| GraphStore::pair(&delta, dp).1).collect();
-        touched_targets.sort_unstable();
-        touched_targets.dedup();
-        let base_in_degree =
-            |v: NodeId| if (v as usize) < base.num_nodes() { base.in_degree(v) } else { 0 };
+        // The transposed view: the new pairs bucketed by target, each
+        // run merged with its base in-list by source.
+        let mut by_target = fresh;
+        by_target.sort_unstable_by_key(|&(u, v, _)| (v, u));
         let mut merged_in = FxHashMap::default();
-        for &v in &touched_targets {
-            let mut pairs: Vec<PairId> =
-                (0..base_in_degree(v)).map(|i| base.in_pair_at(v, i)).collect();
-            for (i, &dp) in new_pairs.iter().enumerate() {
-                if GraphStore::pair(&delta, dp).1 == v {
-                    pairs.push(b + i as PairId);
-                }
-            }
-            // A (u, v) pair lives in exactly one id range, so sources
-            // within one in-list are distinct and the key is total.
-            let (bs, ds) = (&base, &delta);
-            pairs.sort_unstable_by_key(|&p| {
-                if p < b {
-                    bs.pair(p).0
-                } else {
-                    GraphStore::pair(ds, new_pairs[(p - b) as usize]).0
-                }
-            });
-            merged_in.insert(v, pairs);
+        for run in by_target.chunk_by(|x, y| x.1 == y.1) {
+            let v = run[0].1;
+            let degree = if (v as usize) < base.num_nodes() { base.in_degree(v) } else { 0 };
+            let base_list = (0..degree).map(|i| (base.in_source_at(v, i), base.in_pair_at(v, i)));
+            merged_in.insert(v, merge_by_key(base_list, run.iter().map(|&(u, _, p)| (u, p))));
         }
         let num_nodes = base.num_nodes().max(delta.num_nodes());
         let num_interactions = base.num_interactions() + delta_only_events;
@@ -218,6 +192,25 @@ impl OverlayStore {
             }
         }
     }
+}
+
+/// Merges two id lists, each sorted by its node key, into one list
+/// sorted by that key. A `(u, v)` pair lives in exactly one id range,
+/// so keys never tie across the two lists.
+fn merge_by_key(
+    base: impl Iterator<Item = (NodeId, PairId)>,
+    fresh: impl Iterator<Item = (NodeId, PairId)>,
+) -> Vec<PairId> {
+    let mut fresh = fresh.peekable();
+    let mut out = Vec::new();
+    for (key, p) in base {
+        while let Some((_, q)) = fresh.next_if(|&(k, _)| k < key) {
+            out.push(q);
+        }
+        out.push(p);
+    }
+    out.extend(fresh.map(|(_, q)| q));
+    out
 }
 
 impl GraphStore for OverlayStore {

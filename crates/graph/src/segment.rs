@@ -813,6 +813,14 @@ impl SegmentStore {
                 bytes.len()
             )));
         }
+        // Every counted item takes at least one byte of its sections, so
+        // counts past the file length are corrupt — and rejecting them
+        // keeps the section-size arithmetic below from overflowing.
+        if (1..4).any(|i| word(i) > file_len) {
+            return Err(GraphError::segment(format!(
+                "node, pair or event count exceeds the file length {file_len}"
+            )));
+        }
         let num_nodes = word(1) as usize;
         let num_pairs = word(2) as usize;
         let num_events = word(3) as usize;
@@ -906,9 +914,15 @@ impl SegmentStore {
         }
         let nb = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
         let keys_off = 16;
-        let starts_off = keys_off + 8 * nb;
-        let entries_off = starts_off + 8 * (nb + 1);
+        // `nb` is read from the file: size its tables with checked
+        // arithmetic, so a corrupt count fails here instead of
+        // overflowing (or asking `with_capacity` for it below).
+        let entries_off = nb
+            .checked_mul(16)
+            .and_then(|n| n.checked_add(keys_off + 8))
+            .ok_or_else(|| err("bucket count overflows"))?;
         need(entries_off)?;
+        let starts_off = keys_off + 8 * nb;
         let total_entries = (bytes.len() - entries_off) / 4;
         let mut entries: Vec<(i64, Vec<NodeId>)> = Vec::with_capacity(nb);
         let mut prev_start = 0u64;
@@ -1386,6 +1400,73 @@ mod tests {
         std::fs::write(&path, &pristine[..40]).unwrap();
         let err = SegmentStore::open(&path).unwrap_err().to_string();
         assert!(err.contains("too short"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `open` answers every corrupt file with `Ok` or `Err`, never a
+    /// panic: a seeded loop over mutated copies of a valid segment that
+    /// overwrites body bytes and words, rewrites header words (with the
+    /// header checksum recomputed, so they get past it), and truncates
+    /// or extends the file (sometimes with the declared length restamped
+    /// to match). Iterations default to 2000;
+    /// `FLOWMOTIF_SEGMENT_FUZZ_ITERS` sets another budget.
+    #[test]
+    fn mutated_segment_files_open_or_fail_without_panicking() {
+        use flowmotif_util::{RngExt, SeedableRng, StdRng};
+        let iters = std::env::var("FLOWMOTIF_SEGMENT_FUZZ_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2_000u64);
+        let dir = tmp_dir("fuzz");
+        let pristine = std::fs::read(write_segment(&fig5(), &dir).unwrap()).unwrap();
+        let path = dir.join("mutant.seg");
+        let set_word = |bytes: &mut [u8], at: usize, w: u64| {
+            bytes[at..at + 8].copy_from_slice(&w.to_le_bytes());
+        };
+        let restamp = |bytes: &mut [u8]| {
+            let sum = fnv64(&bytes[..HEADER_LEN - 8]);
+            set_word(bytes, HEADER_LEN - 8, sum);
+        };
+        let mut rng = StdRng::seed_from_u64(0x5E6F);
+        for i in 0..iters {
+            let mut bytes = pristine.clone();
+            for _ in 0..rng.random_range(1..4) {
+                // Small counts, powers of two and arbitrary words.
+                let value = match rng.random_range(0..3u32) {
+                    0 => rng.random_range(0..64u64),
+                    1 => 1u64 << rng.random_range(0..64u32),
+                    _ => rng.random::<u64>(),
+                };
+                match rng.random_range(0..5u32) {
+                    0 if bytes.len() > HEADER_LEN => {
+                        let at = rng.random_range(HEADER_LEN..bytes.len());
+                        bytes[at] = rng.random_range(0..=255u8);
+                    }
+                    1 if bytes.len() >= HEADER_LEN + 8 => {
+                        let at = rng.random_range(HEADER_LEN / 8..bytes.len() / 8) * 8;
+                        set_word(&mut bytes, at, value);
+                    }
+                    2 if bytes.len() >= HEADER_LEN => {
+                        // Words 0..=18: everything but the checksum.
+                        set_word(&mut bytes, 8 + 8 * rng.random_range(0..19usize), value);
+                        restamp(&mut bytes);
+                    }
+                    3 if !bytes.is_empty() => bytes.truncate(rng.random_range(0..bytes.len())),
+                    _ => {
+                        let extra = rng.random_range(1..64usize);
+                        bytes.extend((0..extra).map(|_| rng.random_range(0..=255u8)));
+                    }
+                }
+            }
+            if bytes.len() >= HEADER_LEN && rng.random_bool(0.5) {
+                let len = bytes.len() as u64;
+                set_word(&mut bytes, 8 + 8 * 18, len);
+                restamp(&mut bytes);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = std::panic::catch_unwind(|| SegmentStore::open(&path).map(drop));
+            assert!(opened.is_ok(), "iteration {i}: open panicked on {bytes:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

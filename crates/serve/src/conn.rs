@@ -31,10 +31,11 @@
 //! Wire semantics are bit-identical to the thread-per-connection
 //! server; `tests/protocol_edge_cases.rs` is the contract.
 
+use crate::cache::CacheKey;
 use crate::lock;
 use crate::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{parse_request, ErrorCode, Request, MAX_LINE_BYTES};
-use crate::server::{cache_key, handle_request, retry_hint, window_rejection, Session, Shared};
+use crate::server::{handle_request, retry_hint, window_rejection, Session, Shared};
 use crate::source::MotifEngine;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -713,7 +714,7 @@ fn process_pending<E: MotifEngine>(
                     continue;
                 }
                 let epoch = shared.current_epoch.load(Ordering::Acquire);
-                let key = (epoch, cache_key(spec, materialise));
+                let key = CacheKey::new(epoch, spec, materialise);
                 if let Some(reply) = shared.cache.get(&key) {
                     shared.metrics.inc_verb(verb);
                     shared.metrics.cache_hits.inc();

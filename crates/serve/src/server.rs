@@ -6,7 +6,7 @@
 //! lives in the private `conn` module; this module owns the shared
 //! state, the request semantics, and the [`Server`] lifecycle.
 
-use crate::cache::ResultCache;
+use crate::cache::{CacheKey, ResultCache};
 use crate::conn::{accept_loop, event_loop, worker_loop, JobQueue, LoopInbox};
 use crate::lock;
 use crate::metrics::ServerMetrics;
@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// is always reported in the status line).
     ///
     /// Snapshot freshness is configured on the engine itself (e.g.
-    /// `SnapshotEngine::publish_every`), not here: the engine may be
+    /// `Engine::publish_every`), not here: the engine may be
     /// shared with non-server writers that publish on their own schedule.
     pub show: usize,
     /// When set, every `query`/`count` runs with per-stage tracing, and
@@ -360,20 +360,6 @@ pub(crate) fn retry_hint(load: usize) -> u64 {
     ((10 + 2 * load) as u64).min(1000)
 }
 
-/// The canonical spec string a `query`/`count` reply is cached under
-/// (combined with the epoch): everything that selects the reply bytes.
-pub(crate) fn cache_key(spec: &QuerySpec, materialise: bool) -> String {
-    format!(
-        "{}|{}|{}|{}|{:?}|{:?}",
-        if materialise { "query" } else { "count" },
-        spec.motif.path(),
-        spec.motif.delta(),
-        spec.motif.phi(),
-        spec.window,
-        spec.order,
-    )
-}
-
 /// A running motif query server. Dropping (or [`Server::shutdown`])
 /// stops the accept loop, drains the workers and joins all threads;
 /// [`Server::join`] instead blocks forever (the CLI's foreground mode).
@@ -393,10 +379,10 @@ impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 picks a free port)
     /// and starts the accept thread, `config.event_loop_threads` event
     /// loops and `config.workers` workers. The `engine` — any
-    /// [`MotifEngine`]: the in-memory
-    /// [`flowmotif_stream::SnapshotEngine`] or the segment-backed
-    /// [`flowmotif_stream::EpochEngine`] — is shared; the caller may
-    /// keep ingesting into it directly while the server runs.
+    /// [`MotifEngine`], in practice a [`flowmotif_stream::Engine`]: the
+    /// in-memory [`flowmotif_stream::SnapshotEngine`] or the
+    /// segment-backed [`flowmotif_stream::EpochEngine`] — is shared; the
+    /// caller may keep ingesting into it directly while the server runs.
     pub fn start<E: MotifEngine, A: ToSocketAddrs>(
         engine: Arc<E>,
         config: ServerConfig,
@@ -735,9 +721,6 @@ fn append_with_standing<E: MotifEngine>(
 /// maximal).
 fn evict_with_standing<E: MotifEngine>(shared: &Shared<E>, floor: Timestamp) -> usize {
     let mut st = lock(&shared.standing);
-    if st.subs.is_empty() {
-        return shared.engine.evict_before(floor);
-    }
     let StandingState { subs, routes } = &mut *st;
     let mut events = Vec::new();
     let evicted = shared.engine.evict_standing(floor, subs, &mut events);
@@ -853,7 +836,7 @@ fn run_query<E: MotifEngine>(
         note_slow("count", spec, epoch, trace, started, shared);
         let reply =
             format!("OK count={} matches={} epoch={epoch}\n", sink.count, stats.structural_matches);
-        shared.cache.insert((epoch, cache_key(spec, false)), Arc::from(reply.as_str()));
+        shared.cache.insert(CacheKey::new(epoch, spec, false), Arc::from(reply.as_str()));
         return (reply, false);
     }
     let mut sink = CollectSink::default();
@@ -880,7 +863,7 @@ fn run_query<E: MotifEngine>(
         "OK query instances={total} shown={shown} matches={} epoch={epoch}\n",
         stats.structural_matches
     ));
-    shared.cache.insert((epoch, cache_key(spec, true)), Arc::from(reply.as_str()));
+    shared.cache.insert(CacheKey::new(epoch, spec, true), Arc::from(reply.as_str()));
     (reply, false)
 }
 
@@ -1072,10 +1055,10 @@ mod tests {
             Request::Count(spec) => spec,
             _ => unreachable!(),
         };
-        let key = (1u64, cache_key(&spec, false));
+        let key = CacheKey::new(1, &spec, false);
         assert_eq!(s.cache.get(&key).as_deref(), Some(r.as_str()));
         // A different epoch is a different key: nothing stale to serve.
-        assert!(s.cache.get(&(2u64, cache_key(&spec, false))).is_none());
+        assert!(s.cache.get(&CacheKey::new(2, &spec, false)).is_none());
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The engine abstraction the server talks to: anything that can
 //! absorb appends and hand out immutable, epoch-stamped query views.
 //!
-//! Two implementations exist today, and the whole server front-end
-//! (accept loop, admission control, reply formatting) is generic over
-//! them:
+//! The whole server front-end (accept loop, admission control, reply
+//! formatting) is generic over [`MotifEngine`], which has one real
+//! implementation: [`flowmotif_stream::Engine`], over either of its
+//! bases —
 //!
-//! * [`flowmotif_stream::SnapshotEngine`] — the resident in-memory
-//!   engine (epoch = copy-on-write clone of the compacted graph);
-//! * [`flowmotif_stream::EpochEngine`] — the out-of-core engine
-//!   (epoch = memory-mapped sealed segment + in-RAM delta overlay),
-//!   behind `flowmotif serve <dir> --packed`.
+//! * [`flowmotif_stream::SnapshotEngine`], no base: the resident
+//!   in-memory engine (epoch = copy-on-write clone of the compacted
+//!   graph);
+//! * [`flowmotif_stream::EpochEngine`], a sealed base: the out-of-core
+//!   engine (epoch = memory-mapped sealed segment + in-RAM delta
+//!   overlay), behind `flowmotif serve <dir> --packed`.
+//!
+//! The trait stays so that tests can fake an engine.
 
 use crate::protocol::QuerySpec;
 use flowmotif_core::{
@@ -18,8 +22,7 @@ use flowmotif_core::{
 };
 use flowmotif_graph::{Flow, GraphError, GraphStore, NodeId, TimeWindow, Timestamp};
 use flowmotif_stream::{
-    EngineStats, EpochEngine, EpochSnapshot, PublishReport, Snapshot, SnapshotEngine,
-    StandingEvent, StandingQueries,
+    Base, Engine, EngineStats, PublishReport, Snapshot, StandingEvent, StandingQueries,
 };
 use std::sync::Arc;
 
@@ -73,15 +76,11 @@ pub trait MotifEngine: Send + Sync + 'static {
 
     /// Registers a callback fired with the new epoch number on every
     /// epoch install (explicit publish, auto-publish, or compaction).
-    /// At most one hook is kept. The hook may run while the engine's
-    /// writer lock is held, so it must be cheap and must not call back
-    /// into the engine — the server uses it to keep a lock-free copy of
-    /// the current epoch for its result cache.
+    /// At most one hook is kept. The hook runs outside the engine's
+    /// writer lock but on the publishing thread, so it should be cheap —
+    /// the server uses it to keep a lock-free copy of the current epoch
+    /// for its result cache.
     fn set_publish_hook(&self, hook: Box<dyn Fn(u64) + Send + Sync>);
-
-    /// Drops interactions older than `floor`, where supported; engines
-    /// over immutable storage return 0.
-    fn evict_before(&self, floor: Timestamp) -> usize;
 
     /// Consolidates storage (fold buffered tails, or reseal a segment).
     fn compact(&self);
@@ -121,9 +120,10 @@ pub trait MotifEngine: Send + Sync + 'static {
     ) -> Result<Timestamp, GraphError>;
 
     /// Evicts interactions older than `floor` and delta-evaluates the
-    /// standing queries against the post-eviction graph (instances can
-    /// *become* maximal when older events leave their window). Engines
-    /// over immutable storage return 0 without evaluating.
+    /// standing queries in `subs`, if any, against the post-eviction
+    /// graph (instances can *become* maximal when older events leave
+    /// their window). Engines over immutable storage return 0 without
+    /// evaluating.
     fn evict_standing(
         &self,
         floor: Timestamp,
@@ -132,8 +132,9 @@ pub trait MotifEngine: Send + Sync + 'static {
     ) -> usize;
 }
 
-/// Both engines hand out a [`Snapshot`]: of the heap graph, or of a
-/// sealed segment plus its delta ([`EpochSnapshot`]).
+/// The engine hands out a [`Snapshot`] over either base: of the heap
+/// graph, or of a sealed segment plus its delta
+/// ([`flowmotif_stream::EpochSnapshot`]).
 impl<G: GraphStore + Send + Sync> EngineSnapshot for Arc<Snapshot<G>> {
     fn epoch(&self) -> u64 {
         Snapshot::epoch(self)
@@ -160,8 +161,10 @@ impl<G: GraphStore + Send + Sync> EngineSnapshot for Arc<Snapshot<G>> {
     }
 }
 
-impl MotifEngine for SnapshotEngine {
-    type Snapshot = Arc<Snapshot>;
+/// One impl for both bases: the engine's inherent methods already are
+/// the trait's.
+impl<B: Base> MotifEngine for Engine<B> {
+    type Snapshot = Arc<Snapshot<B::View>>;
 
     fn append(
         &self,
@@ -170,39 +173,35 @@ impl MotifEngine for SnapshotEngine {
         time: Timestamp,
         flow: Flow,
     ) -> Result<Timestamp, GraphError> {
-        SnapshotEngine::append(self, from, to, time, flow)
+        Engine::append(self, from, to, time, flow)
     }
 
     fn publish(&self) -> u64 {
-        SnapshotEngine::publish(self)
+        Engine::publish(self)
     }
 
     fn published_epoch(&self) -> u64 {
-        SnapshotEngine::published_epoch(self)
+        Engine::published_epoch(self)
     }
 
     fn set_publish_hook(&self, hook: Box<dyn Fn(u64) + Send + Sync>) {
-        SnapshotEngine::set_publish_hook(self, hook);
-    }
-
-    fn evict_before(&self, floor: Timestamp) -> usize {
-        SnapshotEngine::evict_before(self, floor)
+        Engine::set_publish_hook(self, hook);
     }
 
     fn compact(&self) {
-        SnapshotEngine::compact(self);
+        Engine::compact(self);
     }
 
     fn stats(&self) -> EngineStats {
-        SnapshotEngine::stats(self)
+        Engine::stats(self)
     }
 
     fn publish_report(&self) -> PublishReport {
-        SnapshotEngine::publish_report(self)
+        Engine::publish_report(self)
     }
 
-    fn snapshot(&self) -> Arc<Snapshot> {
-        SnapshotEngine::snapshot(self)
+    fn snapshot(&self) -> Self::Snapshot {
+        Engine::snapshot(self)
     }
 
     fn subscribe_standing(
@@ -211,7 +210,7 @@ impl MotifEngine for SnapshotEngine {
         motif: Motif,
         bounds: Option<TimeWindow>,
     ) -> u64 {
-        SnapshotEngine::subscribe_standing(self, subs, motif, bounds)
+        Engine::subscribe_standing(self, subs, motif, bounds)
     }
 
     fn append_standing(
@@ -223,7 +222,7 @@ impl MotifEngine for SnapshotEngine {
         subs: &mut StandingQueries,
         out: &mut Vec<StandingEvent>,
     ) -> Result<Timestamp, GraphError> {
-        SnapshotEngine::append_standing(self, from, to, time, flow, subs, out)
+        Engine::append_standing(self, from, to, time, flow, subs, out)
     }
 
     fn evict_standing(
@@ -232,89 +231,6 @@ impl MotifEngine for SnapshotEngine {
         subs: &mut StandingQueries,
         out: &mut Vec<StandingEvent>,
     ) -> usize {
-        SnapshotEngine::evict_standing(self, floor, subs, out)
-    }
-}
-
-impl MotifEngine for EpochEngine {
-    type Snapshot = Arc<EpochSnapshot>;
-
-    fn append(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        time: Timestamp,
-        flow: Flow,
-    ) -> Result<Timestamp, GraphError> {
-        EpochEngine::append(self, from, to, time, flow)
-    }
-
-    fn publish(&self) -> u64 {
-        EpochEngine::publish(self)
-    }
-
-    fn published_epoch(&self) -> u64 {
-        EpochEngine::published_epoch(self)
-    }
-
-    fn set_publish_hook(&self, hook: Box<dyn Fn(u64) + Send + Sync>) {
-        EpochEngine::set_publish_hook(self, hook);
-    }
-
-    /// Sealed segments are immutable; nothing is evicted.
-    fn evict_before(&self, _floor: Timestamp) -> usize {
-        0
-    }
-
-    /// Reseals base ∪ delta into a fresh segment. A reseal failure (an
-    /// I/O error while writing the new file) leaves the current base
-    /// and delta fully intact, so it is safe to swallow here — the
-    /// engine keeps serving and the next compact retries.
-    fn compact(&self) {
-        let _ = self.reseal();
-    }
-
-    fn stats(&self) -> EngineStats {
-        EpochEngine::stats(self)
-    }
-
-    fn publish_report(&self) -> PublishReport {
-        EpochEngine::publish_report(self)
-    }
-
-    fn snapshot(&self) -> Arc<EpochSnapshot> {
-        EpochEngine::snapshot(self)
-    }
-
-    fn subscribe_standing(
-        &self,
-        subs: &mut StandingQueries,
-        motif: Motif,
-        bounds: Option<TimeWindow>,
-    ) -> u64 {
-        EpochEngine::subscribe_standing(self, subs, motif, bounds)
-    }
-
-    fn append_standing(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        time: Timestamp,
-        flow: Flow,
-        subs: &mut StandingQueries,
-        out: &mut Vec<StandingEvent>,
-    ) -> Result<Timestamp, GraphError> {
-        EpochEngine::append_standing(self, from, to, time, flow, subs, out)
-    }
-
-    /// Sealed segments are immutable; nothing is evicted and no
-    /// standing query can change.
-    fn evict_standing(
-        &self,
-        _floor: Timestamp,
-        _subs: &mut StandingQueries,
-        _out: &mut Vec<StandingEvent>,
-    ) -> usize {
-        0
+        Engine::evict_standing(self, floor, subs, out)
     }
 }

@@ -309,10 +309,6 @@ impl MotifEngine for GatedEngine {
         MotifEngine::set_publish_hook(&self.inner, hook);
     }
 
-    fn evict_before(&self, floor: Timestamp) -> usize {
-        MotifEngine::evict_before(&self.inner, floor)
-    }
-
     fn compact(&self) {
         MotifEngine::compact(&self.inner);
     }

@@ -160,6 +160,12 @@ impl QueryEngine {
         Ok(n)
     }
 
+    /// The incremental graph itself, for the engine's base to seed pairs
+    /// into (see [`IncrementalGraph::seed_pair`]).
+    pub(crate) fn incremental(&mut self) -> &mut IncrementalGraph {
+        &mut self.graph
+    }
+
     /// Borrows the resident time-series graph (folding buffers in first)
     /// for any [`flowmotif_core::Query`] answer or analytics driver.
     pub fn graph(&mut self) -> &TimeSeriesGraph {

@@ -117,6 +117,22 @@ impl IncrementalGraph {
         Ok(())
     }
 
+    /// Whether the pair `(u, v)` is held, resident or pending.
+    pub fn contains_pair(&self, u: NodeId, v: NodeId) -> bool {
+        self.pair_ids.contains_key(&(u, v)) || self.pending.contains_key(&(u, v))
+    }
+
+    /// Starts the pair `(u, v)`, which must not be held yet, with the
+    /// time-sorted `events` without counting them as appends: the
+    /// watermark, the lifetime totals and the dirty set stay as they
+    /// are. The segment-backed engine copies a sealed pair's events in
+    /// this way on its first append.
+    pub fn seed_pair(&mut self, u: NodeId, v: NodeId, events: &[Event]) {
+        debug_assert!(!self.contains_pair(u, v), "seeding held pair ({u}, {v})");
+        self.pending_len += events.len();
+        self.pending.insert((u, v), events.to_vec());
+    }
+
     /// Number of interactions currently held (resident + buffered).
     pub fn num_interactions(&self) -> usize {
         self.graph.num_interactions() + self.tail_len + self.pending_len

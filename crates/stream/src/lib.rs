@@ -18,12 +18,15 @@
 //!   repeated two-phase motif searches ([`flowmotif_core::Query`]),
 //!   optionally restricted to a [`flowmotif_graph::TimeWindow`],
 //!   *borrowing* the resident graph instead of rebuilding it per query.
-//! * [`SnapshotEngine`] adds concurrent readers on top: ingestion keeps
-//!   appending under a writer lock while queries run against cheap,
-//!   immutable, epoch-stamped [`Snapshot`]s of the compacted graph —
-//!   the substrate of the `flowmotif-serve` network front-end.
-//!   [`EpochEngine`] does the same over a sealed segment; its
-//!   [`EpochSnapshot`] is a [`Snapshot`] of the segment plus its delta.
+//! * [`Engine`] adds concurrent readers on top: ingestion keeps
+//!   appending to a [`QueryEngine`] under a writer lock while queries
+//!   run against cheap, immutable, epoch-stamped [`Snapshot`]s — the
+//!   substrate of the `flowmotif-serve` network front-end. It is one
+//!   engine over one of two [`Base`]s: [`SnapshotEngine`] has none and
+//!   publishes the compacted heap graph; [`EpochEngine`] has a sealed
+//!   segment beneath its writer, which then holds only the delta, and
+//!   its [`EpochSnapshot`] is a [`Snapshot`] of the segment plus that
+//!   delta.
 //!
 //! ```
 //! use flowmotif_core::{catalog, Query};
@@ -51,8 +54,8 @@ pub mod standing;
 pub mod window;
 
 pub use engine::{EngineStats, QueryEngine};
-pub use epoch::{EpochEngine, EpochSnapshot};
+pub use epoch::{EpochEngine, EpochSnapshot, SealedBase};
 pub use incremental::IncrementalGraph;
-pub use snapshot::{PublishReport, Snapshot, SnapshotEngine};
+pub use snapshot::{Base, Engine, NoBase, PublishReport, Snapshot, SnapshotEngine};
 pub use standing::{StandingEvent, StandingQueries, StandingQuery};
 pub use window::SlidingWindow;

@@ -1,5 +1,5 @@
-//! Concurrent reads during live ingestion: an epoch/snapshot layer over
-//! the resident [`QueryEngine`].
+//! Concurrent reads during live ingestion: one epoch engine over the
+//! resident [`QueryEngine`], with or without a sealed base beneath it.
 //!
 //! The single-threaded engine answers queries by *borrowing* its mutable
 //! graph, so a long search blocks every append (and vice versa). This
@@ -7,17 +7,26 @@
 //!
 //! * a **writer side** — the [`QueryEngine`] behind a mutex — absorbs
 //!   appends and evictions exactly as before;
-//! * a **reader side** — an `Arc`-swapped [`Snapshot`] holding a
-//!   compacted, immutable [`TimeSeriesGraph`] — serves any number of
-//!   concurrent searches without taking the writer lock at all.
+//! * a **reader side** — an `Arc`-swapped [`Snapshot`] holding an
+//!   immutable graph — serves any number of concurrent searches without
+//!   taking the writer lock at all.
 //!
-//! [`SnapshotEngine::publish`] bridges them: it folds the writer's
-//! buffered tails in (`compact`), clones the consolidated CSR into a
-//! fresh [`Snapshot`] stamped with a monotonically increasing *epoch*,
-//! and swaps it into the published slot. Readers that already hold a
-//! snapshot keep it alive through its `Arc` — publishing never
-//! invalidates an in-progress query, it only makes newer data visible to
-//! the *next* [`SnapshotEngine::snapshot`] call.
+//! [`Engine::publish`] bridges them: it folds the writer's buffered
+//! tails in (`compact`), clones the consolidated CSR, turns it into the
+//! published view of the engine's [`Base`], stamps it with a
+//! monotonically increasing *epoch* and swaps it into the published
+//! slot. Readers that already hold a snapshot keep it alive through its
+//! `Arc` — publishing never invalidates an in-progress query, it only
+//! makes newer data visible to the *next* [`Engine::snapshot`] call.
+//!
+//! The engine is written once; its base is the one part that varies:
+//!
+//! * [`NoBase`] ([`SnapshotEngine`]): the writer holds the whole stream
+//!   and the published view is its graph — the heap engine, with an
+//!   optional sliding window;
+//! * [`crate::SealedBase`] ([`crate::EpochEngine`]): the writer holds
+//!   only the delta since a sealed segment, and the published view is
+//!   the segment overlaid with that delta (see [`crate::epoch`]).
 //!
 //! # Publish cost model (copy-on-write)
 //!
@@ -29,20 +38,21 @@
 //! series is still shared with a published snapshot detaches just that
 //! series. Summed over a publish interval the copying is therefore
 //! **O(dirty)** — proportional to the pairs actually touched since the
-//! previous publish (reported per publish by
-//! [`SnapshotEngine::publish_report`]) — never O(resident interactions).
+//! previous publish (reported per publish by [`Engine::publish_report`])
+//! — never O(resident interactions).
 //!
 //! The writer lock is held only for the compaction fold and the cheap
-//! structural clone; the new [`Snapshot`] is assembled and swapped into
-//! the published slot *after* the lock is released, so concurrent
-//! appends are never stalled behind snapshot assembly. Readers pay one
-//! `RwLock` read + `Arc` clone per snapshot acquisition and then run
-//! lock-free. Publishing on a quiescent stream is a no-op. Batching
-//! appends between publishes — see [`SnapshotEngine::publish_every`] —
+//! structural clone; the new [`Snapshot`] is swapped into the published
+//! slot, and the publish report and hook are recorded, *after* the lock
+//! is released, so concurrent appends are never stalled behind them.
+//! Readers pay one `RwLock` read + `Arc` clone per snapshot acquisition
+//! and then run lock-free. Publishing on a quiescent stream is a no-op.
+//! Batching appends between publishes — see [`Engine::publish_every`] —
 //! amortizes the per-publish O(pairs) floor the same way the incremental
 //! graph amortizes tail merges.
 
 use crate::engine::EngineStats;
+use crate::incremental::IncrementalGraph;
 use crate::standing::{StandingEvent, StandingQueries};
 use crate::window::SlidingWindow;
 use crate::QueryEngine;
@@ -52,20 +62,21 @@ use flowmotif_core::{
 use flowmotif_graph::{
     Flow, GraphError, GraphStore, NodeId, TimeSeriesGraph, TimeWindow, Timestamp,
 };
+use std::fmt::Debug;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// An immutable point-in-time view of the stream, cheap to share across
 /// threads and safe to query while ingestion continues.
 ///
-/// Snapshots are produced by [`SnapshotEngine::publish`] (over the
-/// compacted heap graph) and [`crate::EpochEngine::publish`] (over a
-/// sealed segment plus its delta, as [`crate::EpochSnapshot`]); each
-/// carries the *epoch* at which it was published, so results can be
-/// attributed to an exact stream prefix. Search one by running a
-/// [`Query`] with [`Snapshot::options`] on [`Snapshot::graph`]: both
-/// take `&self`, so any number of threads may search one snapshot
-/// concurrently.
+/// Snapshots are produced by [`Engine::publish`]: over the compacted
+/// heap graph, or over a sealed segment plus its delta (as
+/// [`crate::EpochSnapshot`]). Each carries the *epoch* at which it was
+/// published, so results can be attributed to an exact stream prefix.
+/// Search one by running a [`Query`] with [`Snapshot::options`] on
+/// [`Snapshot::graph`]: both take `&self`, so any number of threads may
+/// search one snapshot concurrently.
 #[derive(Debug)]
 pub struct Snapshot<G = TimeSeriesGraph> {
     pub(crate) graph: Arc<G>,
@@ -154,21 +165,136 @@ pub struct PublishReport {
     pub duration: Duration,
 }
 
-/// State owned by the writer lock: the resident engine plus the epoch
-/// counter and the watermark of the last publish.
+/// What an [`Engine`] keeps beneath its writer. The writer is always a
+/// [`QueryEngine`]; the base decides what a published view is, what
+/// the engine's statistics count, and how storage is consolidated.
+/// Implemented by [`NoBase`] (the heap engine) and
+/// [`crate::SealedBase`] (the segment engine).
+pub trait Base: Sized + Debug + Send + Sync + 'static {
+    /// The immutable graph a published [`Snapshot`] holds.
+    type View: GraphStore + Debug + Send + Sync + 'static;
+
+    /// The writer-side view standing queries are evaluated against:
+    /// a borrow of the writer's graph, or a view built over it.
+    type Live<'a>: Deref<Target = Self::View>
+    where
+        Self: 'a;
+
+    /// Whether eviction is supported; without it every eviction drops
+    /// nothing and standing queries see no eviction.
+    const EVICTS: bool;
+
+    /// Runs before every append of `(u, v)` to the writer's graph
+    /// `delta`, so the base can seed the pair's earlier events into it.
+    fn seed(&mut self, delta: &mut IncrementalGraph, u: NodeId, v: NodeId);
+
+    /// The live view over the writer's folded graph `delta`.
+    fn live<'a>(&'a self, delta: &'a TimeSeriesGraph) -> Self::Live<'a>;
+
+    /// The view published for `delta`, a copy-on-write clone of the
+    /// writer's compacted graph.
+    fn view(&self, delta: TimeSeriesGraph) -> Self::View;
+
+    /// The engine's statistics, given the writer's.
+    fn stats(&self, writer: EngineStats) -> EngineStats;
+
+    /// Consolidates `engine`'s storage (see [`Engine::compact`]).
+    fn compact(engine: &Engine<Self>);
+}
+
+/// The heap engine's base: none. The writer holds the whole stream and
+/// the published view is its graph.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NoBase;
+
+impl Base for NoBase {
+    type View = TimeSeriesGraph;
+    type Live<'a> = &'a TimeSeriesGraph;
+    const EVICTS: bool = true;
+
+    #[inline(always)]
+    fn seed(&mut self, _delta: &mut IncrementalGraph, _u: NodeId, _v: NodeId) {}
+
+    fn live<'a>(&'a self, delta: &'a TimeSeriesGraph) -> &'a TimeSeriesGraph {
+        delta
+    }
+
+    fn view(&self, delta: TimeSeriesGraph) -> TimeSeriesGraph {
+        delta
+    }
+
+    fn stats(&self, writer: EngineStats) -> EngineStats {
+        writer
+    }
+
+    /// Folds buffered tails and drops evicted-empty pairs.
+    fn compact(engine: &Engine<Self>) {
+        engine.writer.lock().unwrap().engine.compact();
+    }
+}
+
+/// State owned by the writer lock: the resident engine, the base, the
+/// epoch counter and the lifetime totals of the last publish.
 #[derive(Debug)]
-struct WriterState {
-    engine: QueryEngine,
-    epoch: u64,
+pub(crate) struct Writer<B> {
+    pub(crate) engine: QueryEngine,
+    pub(crate) base: B,
+    pub(crate) epoch: u64,
     /// `(appended, evicted)` lifetime totals at the last publish; a
     /// publish with unchanged totals is a no-op.
     published_totals: (u64, u64),
 }
 
+impl<B: Base> Writer<B> {
+    fn stats(&self) -> EngineStats {
+        self.base.stats(self.engine.stats())
+    }
+
+    /// Appends one interaction, letting the base seed its pair first.
+    fn append(&mut self, u: NodeId, v: NodeId, t: Timestamp, f: Flow) -> Result<(), GraphError> {
+        self.base.seed(self.engine.incremental(), u, v);
+        self.engine.try_append(u, v, t, f)
+    }
+
+    /// The under-the-writer-lock half of a publish: folds buffers in,
+    /// claims the next epoch and builds the view over the O(pairs)
+    /// copy-on-write structural clone. The expensive-looking part — none
+    /// of the interaction data — was already paid incrementally by the
+    /// writer's own copy-on-write mutations.
+    pub(crate) fn claim(&mut self, opts: SearchOptions) -> PreparedPublish<B::View> {
+        let started = Instant::now();
+        // Fold tails and drop evicted-empty pairs so the snapshot is a
+        // dense CSR. The clone below shares every series' storage with
+        // the writer (detached lazily, pair by pair, as the writer
+        // mutates on).
+        self.engine.compact();
+        self.epoch += 1;
+        let stats = self.stats();
+        self.published_totals = stats.totals();
+        let dirty_pairs = self.engine.dirty_pairs();
+        self.engine.clear_dirty();
+        let graph = Arc::new(self.base.view(self.engine.graph().clone()));
+        PreparedPublish {
+            snapshot: Snapshot { graph, epoch: self.epoch, stats, opts },
+            dirty_pairs,
+            started,
+        }
+    }
+}
+
+/// Everything a publish captured under the writer lock, waiting to be
+/// swapped in outside it.
+#[derive(Debug)]
+pub(crate) struct PreparedPublish<G> {
+    snapshot: Snapshot<G>,
+    dirty_pairs: usize,
+    started: Instant,
+}
+
 /// A [`QueryEngine`] that supports concurrent readers via epoch-stamped
-/// snapshots.
+/// snapshots, over the base `B` (see the module docs).
 ///
-/// All methods take `&self`; share the engine as an `Arc<SnapshotEngine>`
+/// All methods take `&self`; share the engine as an `Arc<Engine<B>>`
 /// between one (or more, serialised by the writer mutex) ingesting
 /// thread and any number of query threads.
 ///
@@ -195,82 +321,52 @@ struct WriterState {
 /// assert_eq!(engine.snapshot().stats().appended, 3);
 /// ```
 #[derive(Debug)]
-pub struct SnapshotEngine {
-    writer: Mutex<WriterState>,
-    published: RwLock<Arc<Snapshot>>,
+pub struct Engine<B: Base = NoBase> {
+    pub(crate) writer: Mutex<Writer<B>>,
+    published: RwLock<Arc<Snapshot<B::View>>>,
     /// Auto-publish after this many appends since the last publish
-    /// (0 = only on explicit [`SnapshotEngine::publish`] calls).
+    /// (0 = only on explicit [`Engine::publish`] calls).
     publish_every: usize,
     /// Search tuning copied into every published snapshot.
-    opts: SearchOptions,
+    pub(crate) opts: SearchOptions,
     /// Telemetry of the last completed publish.
     last_publish: Mutex<PublishReport>,
     /// Readiness hook fired after every epoch install (see
-    /// [`SnapshotEngine::set_publish_hook`]).
+    /// [`Engine::set_publish_hook`]).
     publish_hook: PublishHookSlot,
 }
+
+/// The in-memory engine: no base, the whole stream in the writer.
+pub type SnapshotEngine = Engine<NoBase>;
 
 /// The callback shape a [`PublishHookSlot`] stores.
 type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// A registered publish-notification callback (see
-/// [`SnapshotEngine::set_publish_hook`]). Wrapped so engines stay
-/// `Debug` despite holding a closure.
+/// [`Engine::set_publish_hook`]). Wrapped so engines stay `Debug`
+/// despite holding a closure.
 #[derive(Default)]
-pub(crate) struct PublishHookSlot(Mutex<Option<PublishHook>>);
+struct PublishHookSlot(Mutex<Option<PublishHook>>);
 
-impl std::fmt::Debug for PublishHookSlot {
+impl Debug for PublishHookSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let set = self.0.lock().map(|g| g.is_some()).unwrap_or(false);
         f.debug_tuple("PublishHookSlot").field(&set).finish()
     }
 }
 
-impl PublishHookSlot {
-    pub(crate) fn set(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
-        *self.0.lock().unwrap() = Some(Arc::new(hook));
-    }
-
-    /// Invokes the hook with the epoch that was just installed. The hook
-    /// may run while an engine writer lock is held, so it must be cheap
-    /// and must not call back into the engine.
-    pub(crate) fn fire(&self, epoch: u64) {
-        let hook = self.0.lock().unwrap().clone();
-        if let Some(hook) = hook {
-            hook(epoch);
-        }
-    }
-}
-
-impl Default for SnapshotEngine {
-    fn default() -> Self {
-        Self::with_engine(QueryEngine::new())
-    }
-}
-
-impl SnapshotEngine {
-    /// An engine that retains the whole stream and publishes only on
-    /// explicit [`SnapshotEngine::publish`] calls.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an existing (possibly pre-loaded) [`QueryEngine`]. Epoch 0
-    /// is published immediately from its current contents.
-    pub fn with_engine(mut engine: QueryEngine) -> Self {
+impl<B: Base> Engine<B> {
+    /// Wraps `engine` (possibly pre-loaded) over `base`; epoch 0 is
+    /// published immediately from their current contents.
+    pub(crate) fn from_parts(mut engine: QueryEngine, base: B) -> Self {
         engine.compact();
         engine.clear_dirty();
-        let stats = engine.stats();
+        let stats = base.stats(engine.stats());
         let opts = engine.options();
-        let snapshot =
-            Arc::new(Snapshot { graph: Arc::new(engine.graph().clone()), epoch: 0, stats, opts });
+        let graph = Arc::new(base.view(engine.graph().clone()));
         Self {
-            writer: Mutex::new(WriterState {
-                engine,
-                epoch: 0,
-                published_totals: (stats.appended, stats.evicted),
-            }),
-            published: RwLock::new(snapshot),
+            writer: Mutex::new(Writer { engine, base, epoch: 0, published_totals: stats.totals() }),
+            published: RwLock::new(Arc::new(Snapshot { graph, epoch: 0, stats, opts })),
             publish_every: 0,
             opts,
             last_publish: Mutex::new(PublishReport::default()),
@@ -279,14 +375,14 @@ impl SnapshotEngine {
     }
 
     /// Registers a callback fired after every epoch install (explicit
-    /// [`SnapshotEngine::publish`] and `publish_every` auto-publishes
+    /// [`Engine::publish`], `publish_every` auto-publishes and reseals
     /// alike) with the freshly installed epoch. The serve tier uses it
     /// as a readiness notification: event loops keep a lock-free copy of
     /// the current epoch for cache keying instead of polling the engine.
-    /// The hook runs outside every engine lock; at most one is
-    /// registered (later calls replace it).
+    /// The hook runs outside every engine lock, so it may call back into
+    /// the engine; at most one is registered (later calls replace it).
     pub fn set_publish_hook(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
-        self.publish_hook.set(hook);
+        *self.publish_hook.0.lock().unwrap() = Some(Arc::new(hook));
     }
 
     /// Overrides the [`SearchOptions`] used by every snapshot query
@@ -303,34 +399,30 @@ impl SnapshotEngine {
         self
     }
 
-    /// Installs a sliding-window retention policy on the writer side
-    /// (see [`QueryEngine::with_window`]).
-    pub fn with_window(self, window: SlidingWindow) -> Self {
-        {
-            let mut w = self.writer.lock().unwrap();
-            let engine = std::mem::take(&mut w.engine).with_window(window);
-            w.engine = engine;
-        }
-        self
-    }
-
-    /// Permits self-loop interactions (off by default).
-    pub fn allow_self_loops(self, allow: bool) -> Self {
-        {
-            let mut w = self.writer.lock().unwrap();
-            let engine = std::mem::take(&mut w.engine).allow_self_loops(allow);
-            w.engine = engine;
-        }
-        self
-    }
-
     /// Auto-publishes a fresh snapshot once `n` appends have accumulated
     /// since the last publish (0 disables auto-publish). The check runs
-    /// at the end of each [`SnapshotEngine::append`] / ingest batch, so a
-    /// large `ingest` publishes once, not once per `n` edges.
+    /// at the end of each [`Engine::append`] / ingest batch, so a large
+    /// `ingest` publishes once, not once per `n` edges.
     pub fn publish_every(mut self, n: usize) -> Self {
         self.publish_every = n;
         self
+    }
+
+    /// Runs `f` under the writer lock, then auto-publishes when due: the
+    /// publish is prepared under the lock and installed after it is
+    /// released.
+    fn write<R>(&self, f: impl FnOnce(&mut Writer<B>) -> R) -> R {
+        let (r, prepared) = {
+            let mut w = self.writer.lock().unwrap();
+            let r = f(&mut w);
+            let due = self.publish_every > 0
+                && (w.stats().appended - w.published_totals.0) as usize >= self.publish_every;
+            (r, due.then(|| w.claim(self.opts)))
+        };
+        if let Some(p) = prepared {
+            self.install(p);
+        }
+        r
     }
 
     /// Appends one interaction and returns the stream watermark after it
@@ -344,16 +436,10 @@ impl SnapshotEngine {
         time: Timestamp,
         flow: Flow,
     ) -> Result<Timestamp, GraphError> {
-        let (watermark, prepared) = {
-            let mut w = self.writer.lock().unwrap();
-            w.engine.try_append(from, to, time, flow)?;
-            let watermark = w.engine.stats().watermark.unwrap_or(time);
-            (watermark, self.maybe_prepare(&mut w))
-        };
-        if let Some(p) = prepared {
-            self.install(p);
-        }
-        Ok(watermark)
+        self.write(|w| {
+            w.append(from, to, time, flow)?;
+            Ok(w.stats().watermark.unwrap_or(time))
+        })
     }
 
     /// Appends a batch; returns how many were appended. Fails on the
@@ -363,35 +449,20 @@ impl SnapshotEngine {
     where
         I: IntoIterator<Item = (NodeId, NodeId, Timestamp, Flow)>,
     {
-        let (r, prepared) = {
-            let mut w = self.writer.lock().unwrap();
+        self.write(|w| {
             let mut n = 0;
-            let r: Result<(), GraphError> = (|| {
-                for (u, v, t, f) in batch {
-                    w.engine.try_append(u, v, t, f)?;
-                    n += 1;
-                }
-                Ok(())
-            })();
-            (r.map(|()| n), self.maybe_prepare(&mut w))
-        };
-        if let Some(p) = prepared {
-            self.install(p);
-        }
-        r
-    }
-
-    /// Drops interactions older than `floor` on the writer side; the
-    /// published snapshot keeps serving the old view until the next
-    /// publish. Returns how many were dropped.
-    pub fn evict_before(&self, floor: Timestamp) -> usize {
-        self.writer.lock().unwrap().engine.evict_before(floor)
+            for (u, v, t, f) in batch {
+                w.append(u, v, t, f)?;
+                n += 1;
+            }
+            Ok(n)
+        })
     }
 
     /// Registers a standing query in `subs`, seeded from the *writer*
     /// state (not the published snapshot), so subsequent
-    /// [`SnapshotEngine::append_standing`] deltas line up exactly with
-    /// the stream — no append can fall between the seed and the first
+    /// [`Engine::append_standing`] deltas line up exactly with the
+    /// stream — no append can fall between the seed and the first
     /// delta. Returns the subscription id.
     pub fn subscribe_standing(
         &self,
@@ -400,16 +471,17 @@ impl SnapshotEngine {
         bounds: Option<TimeWindow>,
     ) -> u64 {
         let mut w = self.writer.lock().unwrap();
-        let g = w.engine.graph();
-        subs.subscribe(g, motif, bounds)
+        let Writer { engine, base, .. } = &mut *w;
+        let live = base.live(engine.graph());
+        subs.subscribe(&*live, motif, bounds)
     }
 
-    /// [`SnapshotEngine::append`] that additionally delta-evaluates the
-    /// standing queries in `subs` under the same writer lock: every
-    /// instance entering a standing result set — through the new edge
-    /// itself or through the sliding-window eviction it triggered — is
-    /// pushed onto `out`. With `subs` empty this costs one extra branch
-    /// over a plain append.
+    /// [`Engine::append`] that additionally delta-evaluates the standing
+    /// queries in `subs` under the same writer lock: every instance
+    /// entering a standing result set — through the new edge itself or
+    /// through the sliding-window eviction it triggered — is pushed onto
+    /// `out`. With `subs` empty this costs one extra branch over a plain
+    /// append.
     pub fn append_standing(
         &self,
         from: NodeId,
@@ -419,36 +491,38 @@ impl SnapshotEngine {
         subs: &mut StandingQueries,
         out: &mut Vec<StandingEvent>,
     ) -> Result<Timestamp, GraphError> {
-        let (watermark, prepared) = {
-            let mut w = self.writer.lock().unwrap();
+        self.write(|w| {
             if subs.is_empty() {
-                w.engine.try_append(from, to, time, flow)?;
+                w.append(from, to, time, flow)?;
             } else {
                 let mut drained = Vec::new();
-                w.engine.try_append_collect(from, to, time, flow, &mut drained)?;
-                let g = w.engine.graph();
-                subs.on_append(g, from, to, time, out);
-                subs.on_evicted(g, &drained, out);
+                let Writer { engine, base, .. } = &mut *w;
+                base.seed(engine.incremental(), from, to);
+                engine.try_append_collect(from, to, time, flow, &mut drained)?;
+                let live = base.live(engine.graph());
+                subs.on_append(&*live, from, to, time, out);
+                subs.on_evicted(&*live, &drained, out);
             }
-            let watermark = w.engine.stats().watermark.unwrap_or(time);
-            (watermark, self.maybe_prepare(&mut w))
-        };
-        if let Some(p) = prepared {
-            self.install(p);
-        }
-        Ok(watermark)
+            Ok(w.stats().watermark.unwrap_or(time))
+        })
     }
 
-    /// [`SnapshotEngine::evict_before`] that additionally delta-evaluates
-    /// the standing queries in `subs` against the post-eviction writer
-    /// graph (instances can *become* maximal when their superset loses
-    /// events). Returns how many interactions were dropped.
+    /// Drops interactions older than `floor` on the writer side and
+    /// delta-evaluates the standing queries in `subs`, if any, against
+    /// the post-eviction writer graph (instances can *become* maximal
+    /// when their superset loses events). The published snapshot keeps
+    /// serving the old view until the next publish. Returns how many
+    /// interactions were dropped (always 0 over a base that cannot
+    /// evict).
     pub fn evict_standing(
         &self,
         floor: Timestamp,
         subs: &mut StandingQueries,
         out: &mut Vec<StandingEvent>,
     ) -> usize {
+        if !B::EVICTS {
+            return 0;
+        }
         let mut w = self.writer.lock().unwrap();
         if subs.is_empty() {
             return w.engine.evict_before(floor);
@@ -456,15 +530,16 @@ impl SnapshotEngine {
         let mut drained = Vec::new();
         let dropped = w.engine.evict_before_collect(floor, &mut drained);
         if !drained.is_empty() {
-            let g = w.engine.graph();
-            subs.on_evicted(g, &drained, out);
+            let Writer { engine, base, .. } = &mut *w;
+            subs.on_evicted(&*base.live(engine.graph()), &drained, out);
         }
         dropped
     }
 
-    /// Consolidates the writer-side graph (see [`QueryEngine::compact`]).
+    /// Consolidates storage: folds the writer's buffered tails in over
+    /// no base, or reseals base ∪ delta into a new segment.
     pub fn compact(&self) {
-        self.writer.lock().unwrap().engine.compact();
+        B::compact(self);
     }
 
     /// Publishes the current writer state as a new immutable snapshot and
@@ -473,9 +548,8 @@ impl SnapshotEngine {
     /// polling publishers are cheap on a quiescent stream.
     ///
     /// Only the compaction fold and the O(pairs) structural clone run
-    /// under the writer lock; snapshot assembly and the published-slot
-    /// swap happen after it is released, so ingestion never waits on
-    /// them.
+    /// under the writer lock; the published-slot swap happens after it
+    /// is released, so ingestion never waits on it.
     ///
     /// Read-your-publish guarantee: when this returns epoch `e`, the
     /// published slot already holds epoch `>= e` — even when `e` was
@@ -483,19 +557,17 @@ impl SnapshotEngine {
     pub fn publish(&self) -> u64 {
         let epoch = {
             let mut w = self.writer.lock().unwrap();
-            match self.prepare_publish(&mut w) {
-                Ok(p) => {
-                    drop(w);
-                    return self.install(p);
-                }
-                Err(current_epoch) => current_epoch,
+            if w.stats().totals() != w.published_totals {
+                let p = w.claim(self.opts);
+                drop(w);
+                return self.install(p);
             }
+            w.epoch
         };
         // Nothing to publish, but `epoch` may have been claimed by a
-        // concurrent publish that is between its prepare and install
-        // (the window spans a handful of instructions and no user
-        // code); a caller issuing a query right after we return must
-        // see it. Wait it out.
+        // concurrent publish that is between its claim and install; a
+        // caller issuing a query right after we return must see it.
+        // Wait it out.
         while self.published_epoch() < epoch {
             std::thread::yield_now();
         }
@@ -509,13 +581,13 @@ impl SnapshotEngine {
 
     /// Live writer-side statistics (includes not-yet-published appends).
     pub fn stats(&self) -> EngineStats {
-        self.writer.lock().unwrap().engine.stats()
+        self.writer.lock().unwrap().stats()
     }
 
     /// The currently published snapshot. Cheap: one `RwLock` read and an
     /// `Arc` clone; the returned snapshot stays valid (and unchanged)
     /// however far the stream advances.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
+    pub fn snapshot(&self) -> Arc<Snapshot<B::View>> {
         Arc::clone(&self.published.read().unwrap())
     }
 
@@ -524,70 +596,21 @@ impl SnapshotEngine {
         self.published.read().unwrap().epoch
     }
 
-    fn maybe_prepare(&self, w: &mut WriterState) -> Option<PreparedPublish> {
-        if self.publish_every == 0 {
-            return None;
-        }
-        let (appended, _) = w.engine.stats().totals();
-        if (appended - w.published_totals.0) as usize >= self.publish_every {
-            self.prepare_publish(w).ok()
-        } else {
-            None
-        }
-    }
-
-    /// The under-the-writer-lock half of a publish: folds buffers in,
-    /// claims the next epoch and takes the O(pairs) copy-on-write
-    /// structural clone. `Err` carries the current epoch when nothing
-    /// changed since the last publish (no-op). The expensive-looking part
-    /// — none of the interaction data — was already paid incrementally by
-    /// the writer's own copy-on-write mutations.
-    fn prepare_publish(&self, w: &mut WriterState) -> Result<PreparedPublish, u64> {
-        let totals = w.engine.stats().totals();
-        if totals == w.published_totals {
-            return Err(w.epoch);
-        }
-        let started = Instant::now();
-        // Fold tails and drop evicted-empty pairs so the snapshot is a
-        // dense CSR. The clone below shares every series' storage with
-        // the writer (detached lazily, pair by pair, as the writer
-        // mutates on).
-        w.engine.compact();
-        w.epoch += 1;
-        w.published_totals = totals;
-        let dirty_pairs = w.engine.dirty_pairs();
-        w.engine.clear_dirty();
-        Ok(PreparedPublish {
-            graph: w.engine.graph().clone(),
-            epoch: w.epoch,
-            stats: w.engine.stats(),
-            dirty_pairs,
-            started,
-        })
-    }
-
-    /// The outside-the-writer-lock half: wraps the prepared state into an
-    /// `Arc<Snapshot>` and swaps it into the published slot. Concurrent
-    /// publishes may install out of order; the epoch guard keeps the slot
-    /// monotone.
-    fn install(&self, p: PreparedPublish) -> u64 {
-        let snapshot = Arc::new(Snapshot {
-            graph: Arc::new(p.graph),
-            epoch: p.epoch,
-            stats: p.stats,
-            opts: self.opts,
-        });
+    /// The outside-the-writer-lock half of a publish: swaps the prepared
+    /// snapshot into the published slot, records the report and fires
+    /// the hook. Concurrent publishes may install out of order; the
+    /// epoch guard keeps the slot monotone.
+    pub(crate) fn install(&self, p: PreparedPublish<B::View>) -> u64 {
+        let epoch = p.snapshot.epoch;
+        let snapshot = Arc::new(p.snapshot);
         {
             let mut slot = self.published.write().unwrap();
-            if snapshot.epoch > slot.epoch {
+            if epoch > slot.epoch {
                 *slot = snapshot;
             }
         }
-        let report = PublishReport {
-            epoch: p.epoch,
-            dirty_pairs: p.dirty_pairs,
-            duration: p.started.elapsed(),
-        };
+        let report =
+            PublishReport { epoch, dirty_pairs: p.dirty_pairs, duration: p.started.elapsed() };
         crate::metrics::record_publish(report.epoch, report.dirty_pairs, report.duration);
         {
             let mut last = self.last_publish.lock().unwrap();
@@ -595,20 +618,52 @@ impl SnapshotEngine {
                 *last = report;
             }
         }
-        self.publish_hook.fire(p.epoch);
-        p.epoch
+        let hook = self.publish_hook.0.lock().unwrap().clone();
+        if let Some(hook) = hook {
+            hook(epoch);
+        }
+        epoch
     }
 }
 
-/// Everything a publish captured under the writer lock, waiting to be
-/// wrapped and swapped in outside it.
-#[derive(Debug)]
-struct PreparedPublish {
-    graph: TimeSeriesGraph,
-    epoch: u64,
-    stats: EngineStats,
-    dirty_pairs: usize,
-    started: Instant,
+impl Default for SnapshotEngine {
+    fn default() -> Self {
+        Self::with_engine(QueryEngine::new())
+    }
+}
+
+impl SnapshotEngine {
+    /// An engine that retains the whole stream and publishes only on
+    /// explicit [`Engine::publish`] calls.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Wraps an existing (possibly pre-loaded) [`QueryEngine`]. Epoch 0
+    /// is published immediately from its current contents.
+    pub fn with_engine(engine: QueryEngine) -> Self {
+        Self::from_parts(engine, NoBase)
+    }
+
+    /// Installs a sliding-window retention policy on the writer side
+    /// (see [`QueryEngine::with_window`]).
+    pub fn with_window(self, window: SlidingWindow) -> Self {
+        self.map_writer(|e| e.with_window(window))
+    }
+
+    /// Permits self-loop interactions (off by default).
+    pub fn allow_self_loops(self, allow: bool) -> Self {
+        self.map_writer(|e| e.allow_self_loops(allow))
+    }
+
+    fn map_writer(self, f: impl FnOnce(QueryEngine) -> QueryEngine) -> Self {
+        {
+            let mut w = self.writer.lock().unwrap();
+            let engine = std::mem::take(&mut w.engine);
+            w.engine = f(engine);
+        }
+        self
+    }
 }
 
 impl EngineStats {
@@ -703,20 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_publish_after_n_appends() {
-        let engine = SnapshotEngine::new().publish_every(4);
-        for (i, &(u, v, t, f)) in FIG2.iter().enumerate() {
-            engine.append(u, v, t, f).unwrap();
-            assert_eq!(engine.published_epoch(), ((i + 1) / 4) as u64, "after {} appends", i + 1);
-        }
-        // A batch ingest publishes once at the end, not every 4 edges.
-        let engine = SnapshotEngine::new().publish_every(4);
-        engine.ingest(FIG2).unwrap();
-        assert_eq!(engine.published_epoch(), 1);
-        assert_eq!(engine.snapshot().stats().appended, 10);
-    }
-
-    #[test]
     fn eviction_surfaces_at_next_publish() {
         let engine = SnapshotEngine::new().with_window(SlidingWindow::with_slack(10, 1));
         engine.ingest(FIG2).unwrap();
@@ -727,7 +768,7 @@ mod tests {
         assert!(snap.graph().time_span().unwrap().0 >= 13);
         // Manual eviction is writer-side only until published.
         let before = engine.snapshot().graph().num_interactions();
-        engine.evict_before(20);
+        engine.evict_standing(20, &mut StandingQueries::new(), &mut Vec::new());
         assert_eq!(engine.snapshot().graph().num_interactions(), before);
         engine.publish();
         assert!(engine.snapshot().graph().num_interactions() < before);
@@ -794,7 +835,7 @@ mod tests {
         engine.publish();
         assert_eq!(engine.publish_report(), r);
         // Eviction dirties the pairs it drains.
-        engine.evict_before(12);
+        engine.evict_standing(12, &mut StandingQueries::new(), &mut Vec::new());
         engine.publish();
         let r = engine.publish_report();
         assert_eq!(r.epoch, 2);
