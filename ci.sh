@@ -174,6 +174,30 @@ stage_out_of_core() {
       cmp "${_dir}/edges-${_job}-t1.txt" "${_dir}/${_edges}-${_job}-t1.txt"
     done
   done
+  # topk/top1 on an edge list search ranking images of only the pairs
+  # each cutoff pass admits. Their --json, which shows pair ids and every
+  # digit of the flows, must equal the packed segment's at 1 and 2
+  # threads: on the fractional flows of the graph above and on the
+  # integer, heavily tied flows of a Facebook-like graph.
+  "${_fm}" generate --dataset facebook --scale 2 --seed 1 --out "${_dir}/fb.txt"
+  "${_fm}" pack "${_dir}/fb.txt" --out "${_dir}/fb-seg"
+  for _graph in edges:seg fb:fb-seg; do
+    _edges="${_graph%%:*}"
+    _seg="${_graph#*:}"
+    for _t in 1 2; do
+      for _job in topk top1; do
+        _k=""
+        [ "${_job}" = topk ] && _k="--k 10"
+        # shellcheck disable=SC2086 # `_k` is empty or a flag and its value
+        "${_fm}" "${_job}" "${_dir}/${_edges}.txt" ${_k} --motif "M(3,2)" --delta 3600 --json \
+          --threads "${_t}" >"${_dir}/rank-mem.json"
+        # shellcheck disable=SC2086
+        "${_fm}" "${_job}" "${_dir}/${_seg}" --packed ${_k} --motif "M(3,2)" --delta 3600 \
+          --json --threads "${_t}" >"${_dir}/rank-packed.json"
+        cmp "${_dir}/rank-mem.json" "${_dir}/rank-packed.json"
+      done
+    done
+  done
   FLOWMOTIF_PARSE_FUZZ_ITERS=200000 cargo test -q --release --offline -p flowmotif-graph \
     byte_parser_agrees_with_the_text_parser
 }

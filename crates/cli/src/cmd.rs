@@ -5,10 +5,14 @@ use crate::opts::{Cli, Command};
 use flowmotif_core::analytics::per_match_activity;
 use flowmotif_core::census::walk_census;
 use flowmotif_core::{
-    catalog, AtomicTrace, Motif, ParOptions, Query, SearchOptions, SearchScratch, TraceStage,
+    catalog, AtomicTrace, FloorCover, Motif, MotifInstance, ParOptions, Query, SearchOptions,
+    SearchScratch, TraceStage,
 };
 use flowmotif_datasets::Dataset;
-use flowmotif_graph::{io, GraphStats, GraphStore, SegmentStore, TimeSeriesGraph, TimeWindow};
+use flowmotif_graph::{
+    io, BuildProfile, Flow, GraphStats, GraphStore, RankingImage, SegmentStore, TimeSeriesGraph,
+    TimeWindow,
+};
 use flowmotif_serve::{Client, Server, ServerConfig};
 use flowmotif_significance::{assess_motif, SignificanceConfig};
 use flowmotif_stream::{QueryEngine, SlidingWindow, SnapshotEngine};
@@ -42,27 +46,129 @@ fn load(path: &Path) -> Result<TimeSeriesGraph, String> {
     io::load_time_series_graph(path).map_err(|e| format!("loading {}: {e}", path.display()))
 }
 
-/// The graph find/topk/top1/census search: a segment either way, and
-/// the time it took to load. With `--packed`, `path` is a segment
-/// directory (or `graph.seg` file) produced by `flowmotif pack`, and
-/// every mapped page is touched once before the search (phase P1 hops
-/// the adjacency sections in graph order, and sequential faulting beats
-/// faulting on demand on a cold map; see the `out_of_core` bench).
-/// Otherwise the edge list is built into the same segment image in
-/// memory on `--threads` workers, so `--packed` only skips the parse and
-/// the sort.
+/// The graph find/census search: a segment either way, and the time it
+/// took to load. With `--packed`, `path` is a segment directory (or
+/// `graph.seg` file) produced by `flowmotif pack`, and every mapped page
+/// is touched once before the search (phase P1 hops the adjacency
+/// sections in graph order, and sequential faulting beats faulting on
+/// demand on a cold map; see the `out_of_core` bench). Otherwise the
+/// edge list is built into the same segment image in memory on
+/// `--threads` workers, so `--packed` only skips the parse and the sort.
 fn search_graph(path: &Path, cli: &Cli) -> Result<(SegmentStore, Duration), String> {
     let started = Instant::now();
     let store = if cli.packed {
-        let store = SegmentStore::open(path)
-            .map_err(|e| format!("opening packed graph {}: {e}", path.display()))?;
-        store.prefetch();
-        store
+        open_packed(path)?
     } else {
         io::load_segment(path, cli.threads)
             .map_err(|e| format!("loading {}: {e}", path.display()))?
     };
     Ok((store, started.elapsed()))
+}
+
+/// Opens a packed segment and touches every mapped page once.
+fn open_packed(path: &Path) -> Result<SegmentStore, String> {
+    let store = SegmentStore::open(path)
+        .map_err(|e| format!("opening packed graph {}: {e}", path.display()))?;
+    store.prefetch();
+    Ok(store)
+}
+
+/// The graph topk/top1 rank on, and the time it took to load. With
+/// `--packed`, the whole segment, as [`search_graph`] opens it.
+/// Otherwise the edge list is parsed and sorted on `--threads` workers
+/// into a [`RankingImage`], and each cutoff pass searches the image of
+/// only the pairs its floor admits; the answers are the same.
+fn ranking_graph(path: &Path, cli: &Cli) -> Result<(Ranking, Duration), String> {
+    let started = Instant::now();
+    let graph = if cli.packed {
+        Ranking::Packed(open_packed(path)?)
+    } else {
+        Ranking::Image(
+            io::load_ranking_image(path, cli.threads)
+                .map_err(|e| format!("loading {}: {e}", path.display()))?,
+        )
+    };
+    Ok((graph, started.elapsed()))
+}
+
+/// See [`ranking_graph`].
+enum Ranking {
+    Packed(SegmentStore),
+    Image(RankingImage),
+}
+
+impl FloorCover for Ranking {
+    type Store = SegmentStore;
+
+    fn pair_totals(&self) -> Vec<Flow> {
+        match self {
+            Ranking::Packed(store) => store.pair_totals(),
+            Ranking::Image(image) => image.pair_totals(),
+        }
+    }
+
+    fn cover(&mut self, floor: Flow) -> &SegmentStore {
+        match self {
+            Ranking::Packed(store) => store,
+            Ranking::Image(image) => image.cover(floor),
+        }
+    }
+}
+
+impl Ranking {
+    /// The store the last cutoff pass searched, whose pair ids the
+    /// results carry.
+    fn store(&self) -> &SegmentStore {
+        match self {
+            Ranking::Packed(store) => store,
+            Ranking::Image(image) => image.image().expect("every search runs a cutoff pass"),
+        }
+    }
+
+    /// `inst` with the pair ids of the whole segment, for `--json`.
+    fn with_full_ids(&self, inst: &MotifInstance) -> MotifInstance {
+        let mut inst = inst.clone();
+        if let Ranking::Image(image) = self {
+            for es in &mut inst.edge_sets {
+                es.pair = image.full_pair_ids()[es.pair as usize];
+            }
+        }
+        inst
+    }
+
+    fn load_profile(&self, took: Duration) -> LoadProfile {
+        match self {
+            Ranking::Packed(store) => LoadProfile::of(store, took),
+            Ranking::Image(image) => LoadProfile {
+                took,
+                interactions: image.num_interactions(),
+                build: Some(image.build_profile()),
+                image: Some((
+                    image.image().map_or(0, |store| store.num_pairs()),
+                    image.num_pairs(),
+                    image.images_built(),
+                )),
+            },
+        }
+    }
+}
+
+/// The graph load, as `--profile` reports it.
+struct LoadProfile {
+    took: Duration,
+    interactions: usize,
+    /// The in-memory build's phases, unless a packed segment was opened.
+    build: Option<BuildProfile>,
+    /// For a ranking image: the pairs of its last image, the pairs of
+    /// the graph, and the images built.
+    image: Option<(usize, usize, usize)>,
+}
+
+impl LoadProfile {
+    fn of(g: &SegmentStore, took: Duration) -> Self {
+        let interactions = g.num_interactions();
+        Self { took, interactions, build: g.build_profile(), image: None }
+    }
 }
 
 fn motif_of(cli: &Cli) -> Result<Motif, String> {
@@ -99,23 +205,25 @@ fn query_of<'a>(cli: &Cli, motif: &'a Motif, trace: Option<&'static AtomicTrace>
 
 /// Prints the per-stage breakdown collected by a `--profile` run: the
 /// graph load (the open of a packed segment, or the in-memory build
-/// split into its parse, sort and build phases with its worker count),
-/// the search's wall-clock time, each stage's time and work count, then
-/// per-worker task/busy figures when the search ran on more than one
-/// worker, then one line per cutoff pass of a ranking search
-/// (`topk`/`top1`): its pair-flow floor, the pairs that floor admits and
-/// the results the pass found.
+/// split into its parse, sort and build phases with its worker count;
+/// for topk/top1 on an edge list, the load is the parse and the sort,
+/// the build is that of every ranking image, which the search builds,
+/// and the line ends with the pairs of the last image, of the graph, and
+/// the images built), the search's wall-clock time, each stage's time
+/// and work count, then per-worker task/busy figures when the search ran
+/// on more than one worker, then one line per cutoff pass of a ranking
+/// search (`topk`/`top1`): its pair-flow floor, the pairs that floor
+/// admits and the results the pass found.
 fn write_profile<W: Write>(
     out: &mut W,
     trace: Option<&'static AtomicTrace>,
     started: Option<Instant>,
-    g: &SegmentStore,
-    load: Duration,
+    load: LoadProfile,
 ) {
     let (Some(trace), Some(started)) = (trace, started) else { return };
     let total = started.elapsed();
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let phases = g.build_profile().map_or(String::new(), |p| {
+    let phases = load.build.map_or(String::new(), |p| {
         format!(
             "; parse {:.3} ms, sort {:.3} ms, build {:.3} ms, {} threads",
             ms(p.parse),
@@ -124,11 +232,14 @@ fn write_profile<W: Write>(
             p.threads
         )
     });
+    let image = load.image.map_or(String::new(), |(pairs, of, images)| {
+        format!("; ranking image {pairs} of {of} pairs, {images} images")
+    });
     writeln!(
         out,
-        "profile: load {:.3} ms ({} interactions{phases})",
-        ms(load),
-        g.num_interactions()
+        "profile: load {:.3} ms ({} interactions{phases}{image})",
+        ms(load.took),
+        load.interactions
     )
     .ok();
     writeln!(out, "profile: total {:.3} ms", total.as_secs_f64() * 1e3).ok();
@@ -216,7 +327,7 @@ fn find<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
         )
         .ok();
     }
-    write_profile(out, trace, started, g, load);
+    write_profile(out, trace, started, LoadProfile::of(g, load));
     Ok(())
 }
 
@@ -224,18 +335,20 @@ fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     if cli.k == 0 {
         return Err("--k must be at least 1".into());
     }
-    let (g, load) = search_graph(path, cli)?;
-    let g = &g;
+    let (mut graph, load) = ranking_graph(path, cli)?;
     // §5: top-k ranks by flow with ϕ = 0 (any --phi is still honoured as
     // a floor if explicitly set).
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| Instant::now());
-    let (ranked, _) = query_of(cli, &motif, trace).top_k(g, cli.k);
+    let (ranked, _) = query_of(cli, &motif, trace).top_k(&mut graph, cli.k);
+    let g = graph.store();
     if cli.json {
         let rows: Vec<_> = ranked
             .iter()
-            .map(|r| json!({"flow": r.instance.flow, "instance": &r.instance}))
+            .map(
+                |r| json!({"flow": r.instance.flow, "instance": &graph.with_full_ids(&r.instance)}),
+            )
             .collect();
         writeln!(out, "{}", flowmotif_util::Json::Array(rows)).ok();
         return Ok(());
@@ -255,24 +368,29 @@ fn topk<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
     if ranked.is_empty() {
         writeln!(out, "  (no instances)").ok();
     }
-    write_profile(out, trace, started, g, load);
+    write_profile(out, trace, started, graph.load_profile(load));
     Ok(())
 }
 
 fn top1<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
-    let (g, load) = search_graph(path, cli)?;
-    let g = &g;
+    let (mut graph, load) = ranking_graph(path, cli)?;
     let motif = motif_of(cli)?;
     let trace = profile_trace(cli);
     let started = trace.map(|_| Instant::now());
-    let (best, stats) = query_of(cli, &motif, trace).top1(g, &mut SearchScratch::default());
+    let (best, stats) =
+        query_of(cli, &motif, trace).top1(&mut graph, &mut SearchScratch::default());
+    let g = graph.store();
     match best {
         Some((sm, inst)) => {
             if cli.json {
                 writeln!(
                     out,
                     "{}",
-                    json!({"flow": inst.flow, "nodes": sm.walk_nodes(g), "instance": &inst})
+                    json!({
+                        "flow": inst.flow,
+                        "nodes": sm.walk_nodes(g),
+                        "instance": &graph.with_full_ids(&inst),
+                    })
                 )
                 .ok();
             } else {
@@ -291,7 +409,7 @@ fn top1<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
             writeln!(out, "no instances").ok();
         }
     }
-    write_profile(out, trace, started, g, load);
+    write_profile(out, trace, started, graph.load_profile(load));
     Ok(())
 }
 
@@ -359,7 +477,7 @@ fn census<W: Write>(path: &Path, cli: &Cli, out: &mut W) -> Result<(), String> {
         )
         .ok();
     }
-    write_profile(out, trace, started, &g, load);
+    write_profile(out, trace, started, LoadProfile::of(&g, load));
     Ok(())
 }
 
@@ -1155,6 +1273,14 @@ stats
         let (out, r) = run_args(&["topk", f.to_str(), "--profile"]);
         r.unwrap();
         assert!(out.contains("profile: total"), "{out}");
+        // On an edge list, topk/top1 also report the ranking image: on
+        // 7 pairs the first cutoff already admits every pair.
+        assert_eq!(
+            load_line(&out),
+            "profile: load _ ms (10 interactions; parse _ ms, sort _ ms, build _ ms, 1 threads; \
+             ranking image 7 of 7 pairs, 1 images)",
+            "{out}"
+        );
         // top1 runs the DP, so its profile shows the dp stage.
         let (out, r) = run_args(&["top1", f.to_str(), "--profile"]);
         r.unwrap();
@@ -1210,6 +1336,55 @@ stats
             out.lines().skip(1).collect::<Vec<_>>(),
             all.lines().skip(1).collect::<Vec<_>>()
         );
+        // The largest k runs one pass without a floor: one image, the
+        // full one, also where the first cutoff of a small k is finite.
+        let g = TempFile(unique_path("fb"));
+        let gen = ["generate", "--dataset", "facebook", "--scale", "0.5", "--out", g.to_str()];
+        run_args(&gen).1.unwrap();
+        let (out, r) = run_args(&["topk", g.to_str(), "--k", &k, "--profile"]);
+        r.unwrap();
+        let line = load_line(&out);
+        let pairs = line.split("ranking image ").nth(1).expect(&line);
+        let (held, of) = pairs.split_once(" of ").unwrap();
+        assert!(of.starts_with(&format!("{held} pairs, 1 images)")), "{line}");
+        let (out, r) = run_args(&["topk", g.to_str(), "--k", "1", "--profile"]);
+        r.unwrap();
+        assert!(!load_line(&out).contains(&format!(" {held} of {held} pairs")), "{out}");
+    }
+
+    /// topk and top1 on an edge list search ranking images of a few of
+    /// its pairs, and answer byte for byte as on the packed segment,
+    /// `--json` pair ids included, at any thread count.
+    #[test]
+    fn ranking_images_answer_as_the_packed_segment() {
+        let f = TempFile(unique_path("fb"));
+        let gen = ["generate", "--dataset", "facebook", "--scale", "0.5", "--out", f.to_str()];
+        run_args(&gen).1.unwrap();
+        let dir = TempDir(unique_path("packed_fb"));
+        run_args(&["pack", f.to_str(), "--out", dir.0.to_str().unwrap()]).1.unwrap();
+        let seg = dir.0.to_str().unwrap();
+        for args in [&["topk", "--k", "3"][..], &["topk", "--k", "1"], &["top1"]] {
+            for extra in [&[][..], &["--json"]] {
+                for threads in ["1", "2", "3"] {
+                    let tail = [extra, &["--threads", threads]].concat();
+                    let (want, r) =
+                        run_args(&[&[args[0], seg, "--packed"], &args[1..], &tail[..]].concat());
+                    r.unwrap();
+                    let mem = [&[args[0], f.to_str()], &args[1..], &tail[..]].concat();
+                    let (got, r) = run_args(&mem);
+                    r.unwrap();
+                    assert_eq!(got, want, "{mem:?}");
+                }
+            }
+            let (out, r) = run_args(&[&[args[0], f.to_str()], &args[1..], &["--profile"]].concat());
+            r.unwrap();
+            let line = load_line(&out);
+            let pairs = line.split("ranking image ").nth(1).expect(&line);
+            let (held, of) = pairs.split_once(" of ").unwrap();
+            let of = of.split(' ').next().unwrap();
+            let (held, of): (usize, usize) = (held.parse().unwrap(), of.parse().unwrap());
+            assert!(0 < held && held < of, "a few of the pairs: {line}");
+        }
     }
 
     #[test]

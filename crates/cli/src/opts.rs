@@ -22,9 +22,14 @@ COMMANDS:
                           ranges). Runs as cutoff passes: P1 binds only
                           pairs heavy enough to carry a top-k instance,
                           seeded from the heaviest pairs; the result is
-                          exactly that of a search over every pair
+                          exactly that of a search over every pair. On
+                          an edge list each pass builds and searches
+                          only the pairs its cutoff admits; --packed
+                          searches the whole segment; the output is
+                          identical
   top1 <file>             maximum-flow instance via the DP module (§5.1),
-                          run as the same cutoff passes with k = 1; its
+                          run as the same cutoff passes with k = 1 (on an
+                          edge list, over only the admitted pairs); its
                           match and DP-window counts sum over the passes
   pack <file>             compile an edge list into a packed segment
                           directory (out-of-core backend; see --packed)
@@ -71,15 +76,17 @@ OPTIONS (find/topk/top1/census/significance):
                           read-only memory map (find/search, topk, top1,
                           census). Without it the edge list is built into
                           the same segment in memory, so --packed only
-                          skips the parse and the sort
+                          skips the parse and the sort (topk/top1 build
+                          only the pairs their cutoffs admit)
   --profile               print a per-stage breakdown (graph load, split
-                          into parse/sort/build for an edge list, P1
-                          match scan, P2 enumeration, DP solve, per-worker
-                          load) after the results (find/search, topk,
-                          top1, census), then one `profile: pass` line
-                          per cutoff pass of topk/top1 (its pair-flow
-                          floor, the pairs it admits, the results it
-                          found)
+                          into parse/sort/build for an edge list, plus
+                          the ranking image's pairs and builds for
+                          topk/top1; P1 match scan, P2 enumeration, DP
+                          solve, per-worker load) after the results
+                          (find/search, topk, top1, census), then one
+                          `profile: pass` line per cutoff pass of
+                          topk/top1 (its pair-flow floor, the pairs it
+                          admits, the results it found)
   --extension-order <ord> how P1 picks the motif edge extending each
                           prefix: cardinality (worst-case-optimal) or
                           fixed (the paper's walk order, for A/B runs);

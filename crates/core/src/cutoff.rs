@@ -29,9 +29,19 @@
 //! floor removes only matches that cannot reach the pass's cutoff, and
 //! it keeps the rest in their order, so rank ties and the DP's
 //! first-found witness come out the same.
+//!
+//! A pass needs only the pairs its floor admits, so the passes run on a
+//! [`FloorCover`]: for each floor, a store that holds at least those
+//! pairs. A [`GraphStore`] covers every floor itself; a
+//! [`RankingImage`] builds the image of just the admitted pairs, and
+//! builds it again only when a later pass lowers the floor below it.
+//! The matches of a pass are the same on either: P1 binds only pairs
+//! that reach the floor, the image holds each of them with the same
+//! series, and it keeps the node ids and the `(origin, target)` order
+//! of the pairs, so P1 walks the same matches in the same order.
 
 use crate::trace::TraceSink;
-use flowmotif_graph::{Flow, GraphStore, PairId};
+use flowmotif_graph::{Flow, GraphStore, PairId, RankingImage, SegmentStore};
 
 /// Pairs the first cutoff pass admits per requested result (`C`): the
 /// first pass keeps the `C·k` heaviest pairs. A pass costs one sweep of
@@ -54,23 +64,79 @@ pub(crate) struct PassOutcome {
     pub(crate) kth_flow: Flow,
 }
 
-/// Runs `search` with the floors of the cutoff schedule until one pass
-/// is exact (see the module docs); the caller keeps what the last pass
-/// produced. `lower` is the flow below which no result can exist. Each
-/// pass is reported to `trace` with the pairs its floor admits.
-pub(crate) fn cutoff_passes<G: GraphStore>(
-    g: &G,
+/// The graph the cutoff passes of a ranking search run on (see the
+/// module docs): every pair's total flow, and for each pass's floor a
+/// store holding every pair whose total reaches it, with the same node
+/// ids, series and `(origin, target)` order as the whole graph. Results
+/// carry the pair ids of the store the last pass covered.
+pub trait FloorCover {
+    /// The store the passes search.
+    type Store: GraphStore;
+
+    /// Every pair's total flow, one per pair of the whole graph, each
+    /// equal to its [`flowmotif_graph::SeriesRef::total_flow`].
+    fn pair_totals(&self) -> Vec<Flow>;
+
+    /// A store holding every pair whose total flow reaches `floor`.
+    fn cover(&mut self, floor: Flow) -> &Self::Store;
+}
+
+/// A graph covers every floor: it holds every pair.
+impl<G: GraphStore> FloorCover for &G {
+    type Store = G;
+
+    fn pair_totals(&self) -> Vec<Flow> {
+        (0..self.num_pairs() as PairId).map(|p| self.series(p).total_flow()).collect()
+    }
+
+    fn cover(&mut self, _floor: Flow) -> &G {
+        self
+    }
+}
+
+impl<C: FloorCover + ?Sized> FloorCover for &mut C {
+    type Store = C::Store;
+
+    fn pair_totals(&self) -> Vec<Flow> {
+        (**self).pair_totals()
+    }
+
+    fn cover(&mut self, floor: Flow) -> &C::Store {
+        (**self).cover(floor)
+    }
+}
+
+/// The image of the pairs the floor admits, rebuilt when a pass lowers
+/// the floor below it.
+impl FloorCover for RankingImage {
+    type Store = SegmentStore;
+
+    fn pair_totals(&self) -> Vec<Flow> {
+        self.totals()
+    }
+
+    fn cover(&mut self, floor: Flow) -> &SegmentStore {
+        RankingImage::cover(self, floor)
+    }
+}
+
+/// Runs `search` on `g`'s cover of each floor of the cutoff schedule
+/// until one pass is exact (see the module docs); the caller keeps what
+/// the last pass produced, and gets the store that pass searched.
+/// `lower` is the flow below which no result can exist. Each pass is
+/// reported to `trace` with the pairs its floor admits.
+pub(crate) fn cutoff_passes<'g, C: FloorCover>(
+    g: &'g mut C,
     k: usize,
     lower: Flow,
     trace: Option<&'static dyn TraceSink>,
-    mut search: impl FnMut(Flow) -> PassOutcome,
-) {
-    let mut totals: Vec<Flow> =
-        (0..g.num_pairs() as PairId).map(|p| g.series(p).total_flow()).collect();
+    mut search: impl FnMut(&C::Store, Flow) -> PassOutcome,
+) -> &'g C::Store {
+    let mut totals = g.pair_totals();
     let mut passes = 0;
     // Unbounded, a pair passes the floor iff its total reaches it.
-    let mut pass = |floor: Flow, totals: &[Flow]| {
-        let outcome = search(floor);
+    let mut pass = |g: &mut C, floor: Flow, totals: &[Flow]| {
+        let outcome = search(g.cover(floor), floor);
         if let Some(trace) = trace {
             let admitted = totals.iter().filter(|&&t| t >= floor).count();
             trace.pass(passes, floor, admitted as u64, outcome.found as u64);
@@ -80,7 +146,7 @@ pub(crate) fn cutoff_passes<G: GraphStore>(
     };
     let mut rank = k.max(1).saturating_mul(CUTOFF_PAIRS_PER_RESULT);
     let mut last = Flow::INFINITY;
-    loop {
+    let floor = loop {
         let cutoff = if rank < totals.len() {
             let (_, nth, _) = totals.select_nth_unstable_by(rank - 1, |a, b| b.total_cmp(a));
             nth.max(lower)
@@ -92,15 +158,18 @@ pub(crate) fn cutoff_passes<G: GraphStore>(
             continue; // tied totals: this pass would admit nothing new
         }
         last = cutoff;
-        let outcome = pass(cutoff, &totals);
+        let outcome = pass(g, cutoff, &totals);
         if cutoff <= lower {
-            return; // nothing a result could use was skipped
+            break cutoff; // nothing a result could use was skipped
         }
         if outcome.found >= k {
             if outcome.kth_flow < cutoff {
-                pass(outcome.kth_flow, &totals);
+                pass(g, outcome.kth_flow, &totals);
+                break outcome.kth_flow;
             }
-            return;
+            break cutoff;
         }
-    }
+    };
+    // The last pass's store, as it covers that pass's floor already.
+    g.cover(floor)
 }

@@ -59,6 +59,7 @@ pub mod topk;
 pub mod trace;
 pub mod validate;
 
+pub use cutoff::FloorCover;
 pub use delta::{DeltaContext, DeltaEdge, DeltaInstance, DeltaStats};
 pub use enumerate::{
     enumerate_in_match, CollectSink, CountSink, EnumerationScratch, FnSink, InstanceSink,

@@ -30,7 +30,7 @@
 //! assert_eq!(par.top_k(&g, 1).0, all.top_k(&g, 1).0);
 //! ```
 
-use crate::cutoff::{cutoff_passes, PassOutcome};
+use crate::cutoff::{cutoff_passes, FloorCover, PassOutcome};
 use crate::dp::{dp_pass, dp_table, reconstruct, DpStats};
 use crate::enumerate::{CollectSink, CountSink, InstanceSink, SearchOptions, SearchStats};
 use crate::instance::{MotifInstance, StructuralMatch};
@@ -143,21 +143,22 @@ impl<'a> Query<'a> {
     /// bound; `ϕ = 0` gives the paper's pure ranking.
     ///
     /// The search runs as [`crate::cutoff`] passes (reported to the
-    /// trace, if any); the result is that of a single search without a
-    /// floor, and the stats sum over the passes. With `par`, each worker
-    /// keeps a local top-k, merged in [`rank_order`] at the end: pruning
-    /// is weaker, the result identical.
+    /// trace, if any) on `g`: a graph (`&G`), or a [`FloorCover`] such as
+    /// a [`flowmotif_graph::RankingImage`], whose results carry the pair
+    /// ids of its last cover. The result is that of a single search
+    /// without a floor, and the stats sum over the passes. With `par`,
+    /// each worker keeps a local top-k, merged in [`rank_order`] at the
+    /// end: pruning is weaker, the result identical.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn top_k<G: GraphStore + Sync>(
-        &self,
-        g: &G,
-        k: usize,
-    ) -> (Vec<RankedInstance>, SearchStats) {
+    pub fn top_k<C: FloorCover>(&self, mut g: C, k: usize) -> (Vec<RankedInstance>, SearchStats)
+    where
+        C::Store: Sync,
+    {
         let mut ranked = Vec::new();
         let mut stats = SearchStats::default();
-        cutoff_passes(g, k, self.motif.phi(), self.opts.trace, |floor| {
+        cutoff_passes(&mut g, k, self.motif.phi(), self.opts.trace, |g, floor| {
             let (sinks, pass_stats) = self.scan_into(g, floor, || TopKSink::new(k));
             stats.merge(&pass_stats);
             ranked.clear();
@@ -179,19 +180,20 @@ impl<'a> Query<'a> {
     /// maximal instance's. Runs on the caller's thread out of `scratch`
     /// (phase P1 from `scratch.p1`, the window DP from `scratch.dp`).
     ///
-    /// The search runs as [`crate::cutoff`] passes with `k = 1`. The
-    /// winner is the first match in P1 order, and its first window, that
-    /// reaches the best flow; a pass's floor removes only matches that
-    /// cannot reach it, so the flow and the witness are those of a
-    /// single search without a floor. The stats sum over the passes.
-    /// When traced, each pass reports P1 time (walk minus DP), DP time
-    /// and the windows-solved count.
+    /// The search runs as [`crate::cutoff`] passes with `k = 1` on `g`,
+    /// a graph or a [`FloorCover`] (see [`Query::top_k`]). The winner is
+    /// the first match in P1 order, and its first window, that reaches
+    /// the best flow; a pass's floor removes only matches that cannot
+    /// reach it, so the flow and the witness are those of a single
+    /// search without a floor. The stats sum over the passes. When
+    /// traced, each pass reports P1 time (walk minus DP), DP time and
+    /// the windows-solved count.
     ///
     /// # Panics
     /// Panics if `bounds` is set: the DP searches the whole graph.
-    pub fn top1<G: GraphStore>(
+    pub fn top1<C: FloorCover>(
         &self,
-        g: &G,
+        mut g: C,
         scratch: &mut SearchScratch,
     ) -> (Option<(StructuralMatch, MotifInstance)>, DpStats) {
         assert!(self.bounds.is_none(), "the DP top-1 searches the whole graph");
@@ -199,7 +201,7 @@ impl<'a> Query<'a> {
         let mut best = None;
         // Flows are positive and the DP reports only flows above 0, so a
         // floor at 0 skips nothing.
-        cutoff_passes(g, 1, 0.0, self.opts.trace, |floor| {
+        let g = cutoff_passes(&mut g, 1, 0.0, self.opts.trace, |g, floor| {
             best = dp_pass(g, self.motif, self.opts, floor, scratch, &mut stats);
             PassOutcome {
                 found: usize::from(best.is_some()),

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Soft cap on the number of buckets; exceeding it doubles the width.
-const MAX_BUCKETS: usize = 512;
+pub(crate) const MAX_BUCKETS: usize = 512;
 
 /// The time-bucketed origin index (see the module docs).
 #[derive(Debug, Clone, PartialEq)]

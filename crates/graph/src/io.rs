@@ -8,6 +8,7 @@
 use crate::builder::{check_interaction, GraphBuilder, NodeIdRange};
 use crate::error::GraphError;
 use crate::event::{Flow, NodeId, Timestamp};
+use crate::image::RankingImage;
 use crate::mmap::Mmap;
 use crate::multigraph::TemporalMultigraph;
 use crate::segment::SegmentStore;
@@ -169,14 +170,13 @@ fn parse_any(line: &[u8], lineno: usize) -> Result<Option<Record>, GraphError> {
 }
 
 /// A newline-aligned chunk of an edge list, parsed and validated:
-/// its records in input order, the node ids and times they span, its
-/// line count, and its first error (parsing stops there). Line numbers
+/// its records in input order, the node ids they span, its line count,
+/// and its first error (parsing stops there). Line numbers
 /// in `ids` and `error` count from the chunk's first line.
 #[derive(Debug)]
 pub(crate) struct ParsedChunk {
     pub(crate) records: Vec<Record>,
     pub(crate) ids: NodeIdRange,
-    pub(crate) span: Option<(Timestamp, Timestamp)>,
     pub(crate) lines: usize,
     pub(crate) error: Option<GraphError>,
 }
@@ -220,7 +220,6 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
 pub(crate) fn parse_chunk(bytes: &[u8]) -> ParsedChunk {
     let mut records = Vec::new();
     let mut ids = NodeIdRange::default();
-    let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
     let mut lines = 0;
     let mut error = None;
     let mut rest = bytes;
@@ -236,8 +235,6 @@ pub(crate) fn parse_chunk(bytes: &[u8]) -> ParsedChunk {
         match checked {
             Ok(Some((u, v, t, f))) => {
                 ids.see(u, v, lines);
-                lo = lo.min(t);
-                hi = hi.max(t);
                 records.push((u, v, t, f));
             }
             Ok(None) => {}
@@ -247,8 +244,7 @@ pub(crate) fn parse_chunk(bytes: &[u8]) -> ParsedChunk {
             }
         }
     }
-    let span = (!records.is_empty()).then_some((lo, hi));
-    ParsedChunk { records, ids, span, lines, error }
+    ParsedChunk { records, ids, lines, error }
 }
 
 /// Streaming iterator over the `(from, to, time, flow)` records of an
@@ -358,20 +354,52 @@ pub fn load_time_series_graph<P: AsRef<Path>>(path: P) -> Result<TimeSeriesGraph
 /// [`load_time_series_graph`]'s do.
 pub fn load_segment<P: AsRef<Path>>(path: P, threads: usize) -> Result<SegmentStore, GraphError> {
     let path = path.as_ref();
-    let file = open_with_context(path)?;
-    let built = match file.metadata() {
-        Ok(meta) if meta.is_file() => Mmap::map(&file)
-            .map_err(GraphError::from)
-            .and_then(|map| crate::image::build_threaded(map, threads)),
+    file_bytes(path)
+        .and_then(|bytes| crate::image::build_threaded(bytes, threads))
+        .map_err(|e| e.in_file(path))
+}
+
+/// Parses and sorts an edge-list file on `threads` workers (`0` = all
+/// cores) into a [`RankingImage`], which builds the segment of only the
+/// pairs a ranking search's cutoff admits. Reads and errors as
+/// [`load_segment`].
+pub fn load_ranking_image<P: AsRef<Path>>(
+    path: P,
+    threads: usize,
+) -> Result<RankingImage, GraphError> {
+    let path = path.as_ref();
+    file_bytes(path)
+        .and_then(|bytes| RankingImage::build_threaded(bytes, threads))
+        .map_err(|e| e.in_file(path))
+}
+
+/// The bytes of a file: a map of a regular file, or everything read
+/// from anything else.
+enum FileBytes {
+    Mapped(Mmap),
+    Read(Vec<u8>),
+}
+
+impl AsRef<[u8]> for FileBytes {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            FileBytes::Mapped(map) => map.as_ref(),
+            FileBytes::Read(bytes) => bytes,
+        }
+    }
+}
+
+/// Maps `path` if it is a regular file, and reads it to the end if not.
+fn file_bytes(path: &Path) -> Result<FileBytes, GraphError> {
+    let file = std::fs::File::open(path)?;
+    Ok(match file.metadata() {
+        Ok(meta) if meta.is_file() => FileBytes::Mapped(Mmap::map(&file)?),
         _ => {
             let mut bytes = Vec::new();
-            (&file)
-                .read_to_end(&mut bytes)
-                .map_err(GraphError::from)
-                .and_then(|_| crate::image::build_threaded(bytes, threads))
+            (&file).read_to_end(&mut bytes)?;
+            FileBytes::Read(bytes)
         }
-    };
-    built.map_err(|e| e.in_file(path))
+    })
 }
 
 /// Loads a raw multigraph from an edge-list file. Errors carry the file

@@ -53,7 +53,7 @@ pub use active::ActiveOriginIndex;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use event::{Event, Flow, NodeId, PairId, Timestamp};
-pub use image::BuildProfile;
+pub use image::{BuildProfile, RankingImage};
 pub use multigraph::{Interaction, TemporalMultigraph};
 pub use overlay::OverlayStore;
 pub use segment::{pack_edge_list, write_segment, PackStats, SegmentStore, SegmentWriter};

@@ -46,7 +46,7 @@
 //! writes the image in place on several workers ([`crate::image`]) and
 //! opens it, with no file in between; both give the same bytes.
 
-use crate::active::{ActiveOriginIndex, IndexBuilder};
+use crate::active::{ActiveOriginIndex, IndexBuilder, MAX_BUCKETS};
 use crate::builder::{check_interaction, NodeIdRange};
 use crate::error::GraphError;
 use crate::event::{Event, Flow, NodeId, PairId, Timestamp};
@@ -258,6 +258,13 @@ fn index_bytes(index: &ActiveOriginIndex) -> Vec<u8> {
         }
     }
     bytes
+}
+
+/// The largest [`index_bytes`] of an index over `events` events: its
+/// width, bucket count, keys and offsets of at most [`MAX_BUCKETS`]
+/// buckets, and at most one entry per event.
+pub(crate) fn index_len_bound(events: usize) -> usize {
+    8 + 8 + 8 * MAX_BUCKETS + 8 * (MAX_BUCKETS + 1) + 4 * events
 }
 
 /// What a sealed segment puts around its sections.

@@ -12,6 +12,13 @@
 //! built into a segment. The suite also checks that every exit of the
 //! pass schedule is taken: exact on the first pass, the refine pass at
 //! the k-th flow, and the geometric fallback.
+//!
+//! Each case also runs through a `RankingImage`, which builds the image
+//! of only the pairs a pass's floor admits and rebuilds it when a later
+//! floor is lower: its answers (with pair ids mapped back to the full
+//! segment's), stats and passes must equal the full segment's, its
+//! last image must hold exactly the pairs the last floor admits, and
+//! between them the cases must rebuild and fall back to the full image.
 
 mod common;
 
@@ -21,6 +28,7 @@ use flowmotif::core::dp::{DpScratch, DpStats};
 use flowmotif::core::topk::rank_order;
 use flowmotif::core::{AtomicTrace, PassRecord};
 use flowmotif::graph::io::read_edge_list;
+use flowmotif::graph::RankingImage;
 use flowmotif::prelude::*;
 use flowmotif_util::rng::{RngExt, StdRng};
 
@@ -150,12 +158,125 @@ fn check<G: GraphStore + Sync>(
     top1_exits.record(&trace.passes(), 1, 0.0);
 }
 
+/// Which exits the ranking-image runs took, beyond those of [`Exits`].
+#[derive(Debug, Default)]
+struct ImageExits {
+    passes: Exits,
+    /// A later pass lowered the floor below the image and rebuilt it.
+    rebuild: bool,
+    /// The last pass ran without a floor, on the full image.
+    full_image: bool,
+}
+
+impl ImageExits {
+    /// Records one search on `image` and checks that its last image
+    /// holds exactly the pairs the last pass's floor admits.
+    fn record(
+        &mut self,
+        image: &RankingImage,
+        passes: &[PassRecord],
+        k: u64,
+        lower: Flow,
+        label: &str,
+    ) {
+        self.passes.record(passes, k, lower);
+        let last = passes.last().expect("at least one pass").cutoff;
+        let admitted = image.totals().iter().filter(|&&t| t >= last).count();
+        assert_eq!(image.image().unwrap().num_pairs(), admitted, "{label}: last image");
+        assert_eq!(image.full_pair_ids().len(), admitted, "{label}: pair-id table");
+        self.rebuild |= image.images_built() > 1;
+        if last == Flow::NEG_INFINITY {
+            assert_eq!(admitted, image.num_pairs(), "{label}: no floor, every pair");
+            self.full_image = true;
+        }
+    }
+}
+
+/// `m` with the full segment's pair ids of an image's pairs.
+fn full_ids_match(m: &StructuralMatch, ids: &[PairId]) -> StructuralMatch {
+    let pairs = m.pairs.iter().map(|&p| ids[p as usize]).collect();
+    StructuralMatch { nodes: m.nodes.clone(), pairs }
+}
+
+/// `inst` with the full segment's pair ids of an image's pairs.
+fn full_ids_instance(inst: &MotifInstance, ids: &[PairId]) -> MotifInstance {
+    let mut inst = inst.clone();
+    for es in &mut inst.edge_sets {
+        es.pair = ids[es.pair as usize];
+    }
+    inst
+}
+
+/// Runs the ranking searches of one case through a `RankingImage` of
+/// `text` and compares answers, stats and passes with the full segment
+/// `seg` of the same text.
+fn check_ranking_image(
+    text: &str,
+    seg: &SegmentStore,
+    motif: &Motif,
+    k: usize,
+    label: &str,
+    topk_exits: &mut ImageExits,
+    top1_exits: &mut ImageExits,
+) {
+    let fresh = || RankingImage::from_edge_list(text.as_bytes()).unwrap();
+    let totals: Vec<u64> = fresh().totals().iter().map(|t| t.to_bits()).collect();
+    let series: Vec<u64> =
+        (0..seg.num_pairs() as PairId).map(|p| seg.series(p).total_flow().to_bits()).collect();
+    assert_eq!(totals, series, "{label}: image totals are the series totals");
+
+    for par in [None, Some(ParOptions::with_threads(1)), Some(ParOptions::with_threads(2))] {
+        let (trace, opts) = traced();
+        let (want, want_stats) = Query { opts, par, ..Query::new(motif) }.top_k(seg, k);
+        let want_passes = trace.passes();
+        let (trace, opts) = traced();
+        let mut image = fresh();
+        let (got, stats) = Query { opts, par, ..Query::new(motif) }.top_k(&mut image, k);
+        let ids = image.full_pair_ids();
+        let got: Vec<_> = got
+            .iter()
+            .map(|r| {
+                (full_ids_match(&r.structural_match, ids), full_ids_instance(&r.instance, ids))
+            })
+            .collect();
+        let want: Vec<_> = want.into_iter().map(|r| (r.structural_match, r.instance)).collect();
+        assert_eq!(got, want, "{label}: image top_k {par:?}");
+        assert_eq!(trace.passes(), want_passes, "{label}: image top_k passes {par:?}");
+        // Two workers steal tasks in a schedule-dependent order, and the
+        // pruning of their local top-k with it.
+        if par.is_none_or(|p| p.threads == 1) {
+            assert_eq!(stats, want_stats, "{label}: image top_k stats {par:?}");
+        }
+        topk_exits.record(&image, &trace.passes(), k as u64, motif.phi(), label);
+    }
+
+    let (trace, opts) = traced();
+    let q = Query { opts, ..Query::new(motif) };
+    let (want, want_stats) = q.top1(seg, &mut SearchScratch::default());
+    let want_passes = trace.passes();
+    let (trace, opts) = traced();
+    let mut image = fresh();
+    let (got, stats) =
+        Query { opts, ..Query::new(motif) }.top1(&mut image, &mut SearchScratch::default());
+    let ids = image.full_pair_ids();
+    let got = got.map(|(sm, inst)| (full_ids_match(&sm, ids), full_ids_instance(&inst, ids)));
+    if let (Some((_, a)), Some((_, b))) = (&got, &want) {
+        assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{label}: image top-1 flow");
+    }
+    assert_eq!(got, want, "{label}: image top-1 witness");
+    assert_eq!(stats, want_stats, "{label}: image top-1 stats");
+    assert_eq!(trace.passes(), want_passes, "{label}: image top-1 passes");
+    top1_exits.record(&image, &trace.passes(), 1, 0.0, label);
+}
+
 /// `top_k`, `par_top_k` (1 and 2 threads) and `dp_top1` equal their
-/// oracles instance for instance on both backends, and between them
-/// the cases take every exit of the pass schedule.
+/// oracles instance for instance on both backends and on a ranking
+/// image, and between them the cases take every exit of the pass
+/// schedule and of the image's rebuilds.
 #[test]
 fn cutoff_passes_equal_the_search_without_a_floor() {
     let (mut topk_exits, mut top1_exits) = (Exits::default(), Exits::default());
+    let (mut topk_image, mut top1_image) = (ImageExits::default(), ImageExits::default());
     for case in 0..CASES {
         let mut rng = case_rng(0x16, case);
         let text = random_edge_list(&mut rng);
@@ -171,11 +292,21 @@ fn cutoff_passes_equal_the_search_without_a_floor() {
         let label = format!("case {case}: {name} δ={delta} ϕ={phi} k={k}");
         check(&heap, &motif, k, &format!("{label} heap"), &mut topk_exits, &mut top1_exits);
         check(&seg, &motif, k, &format!("{label} segment"), &mut topk_exits, &mut top1_exits);
+        let label = format!("{label} ranking image");
+        check_ranking_image(&text, &seg, &motif, k, &label, &mut topk_image, &mut top1_image);
     }
     for (search, exits) in [("top-k", &topk_exits), ("top-1", &top1_exits)] {
         assert!(exits.exact_first, "no {search} case was exact on the first pass: {exits:?}");
         assert!(exits.refine, "no {search} case ran the refine pass: {exits:?}");
         assert!(exits.fallback, "no {search} case fell back to a lower cutoff: {exits:?}");
+    }
+    for (search, exits) in [("top-k", &topk_image), ("top-1", &top1_image)] {
+        let passes = &exits.passes;
+        assert!(passes.exact_first, "no {search} image case was exact at once: {exits:?}");
+        assert!(passes.refine, "no {search} image case ran the refine pass: {exits:?}");
+        assert!(passes.fallback, "no {search} image case fell back: {exits:?}");
+        assert!(exits.rebuild, "no {search} image case rebuilt its image: {exits:?}");
+        assert!(exits.full_image, "no {search} image case built the full image: {exits:?}");
     }
 }
 
@@ -212,6 +343,20 @@ fn a_tie_at_the_cutoff_survives_the_floor() {
     let (best, _) = Query::new(&motif).top1(&g, &mut SearchScratch::default());
     assert_eq!(best, reference_top1(&g, &motif));
     assert_eq!(best.unwrap().0.walk_nodes(&g), vec![0, 1, 2]);
+    // A ranking image at the first cutoff must hold the pair tied at
+    // it, and the pass on it is the same exact pass.
+    let seg = SegmentStore::from_edge_list(text.as_bytes()).unwrap();
+    let want = sorted_head(&seg, &motif, 1);
+    let mut image = RankingImage::from_edge_list(text.as_bytes()).unwrap();
+    let (ranked, _) = Query::new(&motif).top_k(&mut image, 1);
+    let ids = image.full_pair_ids();
+    let got: Vec<_> = ranked
+        .iter()
+        .map(|r| (full_ids_match(&r.structural_match, ids), full_ids_instance(&r.instance, ids)))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(image.images_built(), 1, "exact on the first image");
+    assert_eq!(image.image().unwrap().num_pairs(), 64, "the 64 heaviest pairs, the tie last");
 }
 
 /// Counted work, independent of the host: on a Facebook-like graph the
